@@ -10,6 +10,11 @@ thresholds     print the exact threshold report (optionally with tau data)
 enumerate      list the weight/twist pairs needing explicit certificates
 tower          print the quartic pairing table and the degree-4 identity check
 
+Bad input, including a singular or repeated conic or a prime modulo which a
+conic is singular, exits 2 with a one-line reason.  Any other exception is
+reported on one stderr line as ``error: internal: <Type>: <message>`` with
+exit code 4, so that a crash is never mistaken for a verdict.
+
 Reports are JSON with sorted keys and are byte-deterministic for a fixed
 configuration except for the ``timings`` block.
 """
@@ -25,7 +30,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .conics import Conic, ConicTriple, PRESET_TRIPLES, is_coordinate_triangle, jacobian_cubic
+from .conics import (
+    PRESET_TRIPLES,
+    Conic,
+    ConicTriple,
+    DegenerateConic,
+    is_coordinate_triangle,
+    jacobian_cubic,
+)
 from .gflinalg import is_prime, nullspace_basis
 from .linsys import IoFailure, assemble, sms_checksum, write_sms
 from .thresholds import (
@@ -138,8 +150,32 @@ def load_conics(source: str) -> ConicTriple:
     for row in payload:
         if not (isinstance(row, list) and len(row) == 6):
             raise ConfigError("each conic row must have six coefficients")
-        conics.append(Conic.from_rationals([_parse_entry(v) for v in row]))
+        try:
+            conics.append(Conic.from_rationals([_parse_entry(v) for v in row]))
+        except DegenerateConic as exc:
+            raise ConfigError(f"bad conic row {row!r}: {exc}") from exc
     return ConicTriple(*conics)
+
+
+def check_configuration(triple: ConicTriple, prime: int) -> None:
+    """Reject a triple the certifier cannot read soundly: a singular conic,
+    two conics equal up to scale, or a prime modulo which some conic is
+    singular (the chart reduction degenerates there; always so at p = 2)."""
+    conics = triple.conics()
+    for pos, conic in enumerate(conics, start=1):
+        if not conic.is_smooth():
+            raise ConfigError(f"conic {pos} {conic.coefficients} is singular")
+    canonical = [conic.canonical() for conic in conics]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if canonical[i] == canonical[j]:
+                raise ConfigError(f"conics {i + 1} and {j + 1} are equal up to scale")
+    for pos, conic in enumerate(conics, start=1):
+        if conic.determinant() % prime == 0:
+            raise ConfigError(
+                f"conic {pos} {conic.coefficients} is singular mod {prime}; "
+                "choose another prime"
+            )
 
 
 def run_verify(cfg: RunConfig) -> VanishingVerdict:
@@ -153,6 +189,7 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
     if len(cfg.charts) < 2:
         raise ConfigError("verify needs at least two charts to cover the surface")
     triple = load_conics(cfg.conics)
+    check_configuration(triple, cfg.prime)
     jacobian = jacobian_cubic(triple)
     timings: dict[str, float] = {}
 
@@ -221,6 +258,7 @@ def run_export(cfg: RunConfig) -> dict:
     if not cfg.output:
         raise ConfigError("export-matrix requires --output")
     triple = load_conics(cfg.conics)
+    check_configuration(triple, cfg.prime)
     system = assemble(
         triple, cfg.m, cfg.t, cfg.prime, cfg.charts, parallel=cfg.parallel
     )
@@ -436,6 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, IoFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # noqa: BLE001 - a crash must not read as a verdict
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

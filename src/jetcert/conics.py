@@ -117,8 +117,14 @@ class Conic:
             (c101, c011, 2 * c002),
         )
 
+    def determinant(self) -> int:
+        """Determinant of :meth:`gram_matrix_doubled`: zero iff the conic is
+        singular over Q, and divisible by an odd prime ``p`` iff it is
+        singular mod ``p`` (it is always even)."""
+        return _det3_int(self.gram_matrix_doubled())
+
     def is_smooth(self) -> bool:
-        return _det3_int(self.gram_matrix_doubled()) != 0
+        return self.determinant() != 0
 
     def evaluate(self, point: Sequence[int]) -> int:
         z0, z1, z2 = point

@@ -27,9 +27,16 @@ conics ``a, b, c``:
     twisted ansatz by ``(u*v*a*b*c)^m`` turns the ``(w, k)`` summand into the
     polynomial block
     ``B_{w,k} = alpha^(m-3w-k) * beta^k * L~_red^w * a^(w+k) * b^(m-2w-k) * (u*v)^(2w)``
-    (the ``c`` power cancels exactly).  Each block is stored as its jet-slot
-    decomposition ``{(i, j, k): S(u, v)}`` over the monomials ``u1^i v1^j W^k``
-    (``i + j + 3k = m`` always — the expansion is weighted-homogeneous).
+    (the ``c`` power cancels exactly).  With ``n = m - 3w``, ``X = alpha*b``
+    and ``Y = beta*a`` the block factors exactly as
+    ``B_{w,k} = C_w * X^(n-k) * Y^k`` with
+    ``C_w = L~_red^w * (a*b)^w * (u*v)^(2w) = (L~_red * a*b * (u*v)^2)^w``,
+    because the ``a`` exponent splits as ``w + k`` and the ``b`` exponent as
+    ``w + (n-k)``.  Every block is therefore a product of three powers built
+    once per chart, and no polynomial division is needed.  Each block is stored
+    as its jet-slot decomposition ``{(i, j, k): S(u, v)}`` over the monomials
+    ``u1^i v1^j W^k`` (``i + j + 3k = m`` always — the expansion is
+    weighted-homogeneous).
 5.  Obstruction rows (:func:`obstruction_rows`): a global section's cleared
     numerator must be divisible by ``u^m * v^m`` (times factors of ``a, b, c``,
     which are units for this question since a smooth conic contains no
@@ -54,7 +61,7 @@ from math import comb
 from typing import Iterable, NamedTuple
 
 from .conics import CHART_AXES, ChartData
-from .polynomials import MultiPoly, exact_div, glex_key
+from .polynomials import MultiPoly, exact_div
 
 # Variable layout of the frame stage: (u, v, u1, v1, u2, v2).
 _U, _V, _U1, _V1, _U2, _V2 = range(6)
@@ -336,24 +343,6 @@ def _powers(base: MultiPoly, top: int) -> list[MultiPoly]:
     return out
 
 
-def _reduced_block(
-    w: int,
-    k: int,
-    m: int,
-    alpha5: MultiPoly,
-    beta5: MultiPoly,
-    lam_pow: MultiPoly,
-    a2: MultiPoly,
-    b2: MultiPoly,
-    uv2: MultiPoly,
-    alpha_pows: list[MultiPoly],
-) -> MultiPoly:
-    """Block B_{w,k} built from scratch (used per stratum at k = 0)."""
-    lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
-    biv = (a2**(w + k)) * (b2**(m - 2 * w - k)) * (uv2**(2 * w))
-    return alpha_pows[m - 3 * w - k] * (beta5**k) * lam_pow * lift(biv)
-
-
 def _full_block(
     w: int,
     k: int,
@@ -409,9 +398,15 @@ def expand_ansatz(
     """Expand every ansatz block on one chart into jet-slot form.
 
     ``second_order="reduced"`` (default) eliminates ``(u2, v2)`` once, inside
-    :func:`wronskian_form`; ``"full"`` re-derives every stratum power with the
-    second-order variables kept and eliminates them per block — the expensive
-    cross-check path, intended for small ``m``."""
+    :func:`wronskian_form`, and builds each block as the exact product
+    ``B_{w,k} = C_w * X^(n-k) * Y^k`` (``n = m - 3w``, ``X = alpha*b``,
+    ``Y = beta*a``, ``C_w = L~_red^w * (a*b)^w * (u*v)^(2w)``).  The powers of
+    ``X``, ``Y`` and ``C_1`` are computed once per chart and shared by all
+    strata, so the expansion performs multiplications only, never a
+    division.
+    ``"full"`` re-derives every stratum power with the second-order
+    variables kept and eliminates them per block — the expensive cross-check
+    path, intended for small ``m``."""
     if second_order not in ("reduced", "full"):
         raise ValueError("second_order must be 'reduced' or 'full'")
     m = space.m
@@ -423,30 +418,21 @@ def expand_ansatz(
     alpha5 = _drop_second_order(forms.alpha).embed(5, (0, 1, 2, 3))
     beta5 = _drop_second_order(forms.beta).embed(5, (0, 1, 2, 3))
     max_w = max((w for w, _ in space.strata), default=0)
-    alpha_pows = _powers(alpha5, m)
-    lam_pows = _powers(wf.reduced, max_w)
+    lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
+    x_pows = _powers(alpha5 * lift(b2), m)
+    y_pows = _powers(beta5 * lift(a2), m)
+    c_pows = _powers(wf.reduced * lift(a2 * b2 * uv2 * uv2), max_w)
 
     def stratum_blocks(stratum: tuple[int, int]):
         w, _degree = stratum
-        blocks_here: list[tuple[tuple[int, int], MultiPoly]] = []
+        n = m - 3 * w
         if second_order == "full":
             tilde = wf.tilde
-            for k in range(m - 3 * w + 1):
-                blocks_here.append(
-                    ((w, k), _full_block(w, k, m, forms, tilde, a2, b2, uv2))
-                )
-            return blocks_here
-        lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
-        block = _reduced_block(
-            w, 0, m, alpha5, beta5, lam_pows[w], a2, b2, uv2, alpha_pows
-        )
-        blocks_here.append(((w, 0), block))
-        step_up = beta5 * lift(a2)
-        step_down = alpha5 * lift(b2)
-        for k in range(1, m - 3 * w + 1):
-            block = exact_div(block * step_up, step_down)
-            blocks_here.append(((w, k), block))
-        return blocks_here
+            return [
+                ((w, k), _full_block(w, k, m, forms, tilde, a2, b2, uv2))
+                for k in range(n + 1)
+            ]
+        return [((w, k), c_pows[w] * x_pows[n - k] * y_pows[k]) for k in range(n + 1)]
 
     if parallel and len(space.strata) > 1:
         with ThreadPoolExecutor(max_workers=4) as pool:

@@ -83,6 +83,48 @@ def test_config_errors_exit_two(capsys, argv):
     assert err.startswith("error:")
 
 
+DOUBLE_LINES = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
+REPEATED = [[2, 1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [-4, -2, -2, 0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "command, conics, prime, reason",
+    [
+        ("verify", "fermat", 2, "singular mod 2"),
+        ("verify", "case72", 7, "singular mod 7"),
+        ("export-matrix", "case72", 7, "singular mod 7"),
+        ("verify", DOUBLE_LINES, 5, "is singular"),
+        ("verify", REPEATED, 5, "equal up to scale"),
+    ],
+)
+def test_degenerate_input_exits_two(capsys, tmp_path, command, conics, prime, reason):
+    if not isinstance(conics, str):
+        path = tmp_path / "conics.json"
+        path.write_text(json.dumps(conics))
+        conics = str(path)
+    argv = [command, "--conics", conics, "--m", "3", "--t", "3",
+            "--prime", str(prime)]
+    if command == "export-matrix":
+        argv += ["--output", str(tmp_path / "out.sms")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and reason in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_four(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    # cli binds linsys.assemble at import, so patch the name it calls.
+    monkeypatch.setattr(cli, "assemble", broken)
+    code, out, err = run_cli(capsys, "verify", "--m", "3", "--t", "3")
+    assert code == 4
+    assert out == ""
+    assert err == "error: internal: RuntimeError: simulated fault\n"
+
+
 def test_report_is_deterministic_except_timings(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -172,6 +214,7 @@ def test_conic_file_ingestion(capsys, tmp_path):
         "[[1,2,3,0,0,0],[1,1,2,0,0,0]]",  # two rows
         "[[1,2,3,0,0],[1,1,2,0,0,0],[2,1,1,0,0,0]]",  # short row
         '[[1,"x",3,0,0,0],[1,1,2,0,0,0],[2,1,1,0,0,0]]',  # bad entry
+        "[[0,0,0,0,0,0],[1,1,2,0,0,0],[2,1,1,0,0,0]]",  # zero row
         '{"first": [1,2,3,0,0,0]}',  # not a list of rows
         "not json",
     ],

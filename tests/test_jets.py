@@ -215,6 +215,39 @@ def test_reduced_blocks_match_full_elimination():
         assert reduced.blocks == full.blocks
 
 
+@pytest.mark.parametrize(
+    "triple, chart, m, t",
+    [(FERMAT, 0, 6, 5), (FERMAT, 2, 6, 5), (CASE72, 1, 4, 3)],
+    ids=["fermat-z0-6-5", "fermat-z2-6-5", "case72-z1-4-3"],
+)
+def test_blocks_equal_the_literal_product(triple, chart, m, t):
+    """Every block equals
+    alpha^(m-3w-k) * beta^k * L~^w * a^(w+k) * b^(m-2w-k) * (u*v)^(2w),
+    multiplied out term by term over GF(5) as assembly does."""
+    data = chart_data(triple, chart, modulus=5)
+    space = AnsatzSpace.build(m, t)
+    forms = log_jet_forms(data)
+    alpha, beta = (
+        form.coefficient_map((4, 5))[(0, 0)].embed(5, (0, 1, 2, 3))
+        for form in (forms.alpha, forms.beta)
+    )
+    lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
+    lam = wronskian_form(data).reduced
+    a, b = lift(data.a), lift(data.b)
+    uv = lift(MultiPoly.variable(2, 0, 5) * MultiPoly.variable(2, 1, 5))
+    blocks = expand_ansatz(data, space).blocks
+    expected_keys = set()
+    for w, _degree in space.strata:
+        for k in range(m - 3 * w + 1):
+            expected_keys.add((w, k))
+            product = (
+                alpha ** (m - 3 * w - k) * beta**k * lam**w
+                * a ** (w + k) * b ** (m - 2 * w - k) * uv ** (2 * w)
+            )
+            assert blocks[(w, k)] == product.coefficient_map((2, 3, 4))
+    assert set(blocks) == expected_keys
+
+
 def test_expand_rejects_unknown_mode():
     space = AnsatzSpace.build(3, 3)
     with pytest.raises(ValueError):
