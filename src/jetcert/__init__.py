@@ -10,9 +10,10 @@ The certification pipeline is:
 -> ``gflinalg`` (exact GF(p) elimination: rank, nullity, nullspace)
 -> ``cli`` (verdicts, reports, exit codes).
 
-``thresholds`` is the self-contained exact calculator for the degree
-thresholds, the fiber-tower intersection numbers, and the exceptional-pair
-enumerator.  ``polynomials`` is the shared sparse polynomial core.
+``thresholds`` is the exact calculator for the degree thresholds, the
+fiber-tower intersection numbers, and the exceptional-pair enumerator.
+``polynomials`` is the shared sparse polynomial core; it also carries the
+rational tower classes.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import json
 import resource
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -38,7 +38,7 @@ from .conics import (
     is_coordinate_triangle,
     jacobian_cubic,
 )
-from .gflinalg import is_prime, nullspace_basis
+from .gflinalg import is_prime, rank_nullity
 from .linsys import IoFailure, assemble, sms_checksum, write_sms
 from .thresholds import (
     ConstantTooSmall,
@@ -75,7 +75,6 @@ class RunConfig:
     constant: Fraction | None = None
     m_max: int = 20
     digits: int = 30
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
 
     start = time.perf_counter()
     workers = 4 if cfg.parallel else 0
-    outcome = nullspace_basis(system, workers=workers)
+    outcome = rank_nullity(system, workers=workers)
     timings["eliminate_s"] = round(time.perf_counter() - start, 6)
     timings["max_rss_mb"] = round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2
@@ -240,9 +239,12 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
     if cfg.export_matrix:
         write_sms(system, cfg.export_matrix)
     if cfg.report:
-        with open(cfg.report, "w", encoding="utf-8") as handle:
-            json.dump(result.as_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        try:
+            with open(cfg.report, "w", encoding="utf-8") as handle:
+                json.dump(result.as_dict(), handle, sort_keys=True, indent=2)
+                handle.write("\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write report {cfg.report!r}: {exc}") from exc
     return result
 
 
@@ -272,6 +274,8 @@ def run_export(cfg: RunConfig) -> dict:
 
 
 def run_thresholds(cfg: RunConfig) -> dict:
+    if cfg.digits < 1:
+        raise ConfigError(f"--digits must be at least 1, got {cfg.digits}")
     try:
         report = build_threshold_report(degrees=cfg.degrees, m=cfg.m, t=cfg.t)
     except (DegenerateTotalDegree, ValueError) as exc:
@@ -354,14 +358,15 @@ def _build_parser() -> argparse.ArgumentParser:
     thresholds.add_argument("--degrees", default=None, help="comma list d1,d2,d3")
     thresholds.add_argument("--m", type=int, default=None)
     thresholds.add_argument("--t", type=int, default=None)
-    thresholds.add_argument("--digits", type=int, default=30)
+    thresholds.add_argument(
+        "--digits", type=int, default=30, help="significant digits, at least 1"
+    )
 
     enumerate_cmd = sub.add_parser("enumerate", help="pairs needing certificates")
     enumerate_cmd.add_argument("--c", required=True, help="constant (rational)")
     enumerate_cmd.add_argument("--m-max", dest="m_max", type=int, default=20)
 
-    tower = sub.add_parser("tower", help="quartic table and identity check")
-    tower.add_argument("--check", action="store_true", default=True)
+    sub.add_parser("tower", help="quartic table and identity check")
     return parser
 
 
@@ -387,6 +392,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             return file_values[name]
         return default
 
+    def pick_path(name):
+        value = pick(name, None)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{name} must be a file path")
+        return value
+
     charts_value = pick("charts", "z0,z2")
     if isinstance(charts_value, str):
         charts = parse_charts(charts_value)
@@ -395,17 +406,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     else:
         raise ConfigError("charts must be a string or list")
 
+    # --degrees, --c and --m-max belong to commands without --config.
     degrees = None
-    degrees_value = pick("degrees", None)
+    degrees_value = getattr(args, "degrees", None)
     if degrees_value is not None:
-        if isinstance(degrees_value, str):
-            tokens = [tok.strip() for tok in degrees_value.split(",")]
-        elif isinstance(degrees_value, (list, tuple)):
-            tokens = [str(tok) for tok in degrees_value]
-        else:
-            raise ConfigError("degrees must be a string or list")
         try:
-            parsed = sorted((int(tok) for tok in tokens), reverse=True)
+            parsed = sorted(
+                (int(tok) for tok in degrees_value.split(",")), reverse=True
+            )
         except ValueError as exc:
             raise ConfigError(f"bad degrees {degrees_value!r}") from exc
         if len(parsed) != 3:
@@ -413,10 +421,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         degrees = tuple(parsed)
 
     constant = None
-    constant_value = pick("c", None)
+    constant_value = getattr(args, "c", None)
     if constant_value is not None:
         try:
-            constant = Fraction(str(constant_value))
+            constant = Fraction(constant_value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad constant {constant_value!r}") from exc
 
@@ -432,13 +440,13 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             prime=prime,
             charts=charts,
             parallel=bool(pick("parallel", False)),
-            export_matrix=pick("export_matrix", None),
-            report=pick("report", None),
+            export_matrix=pick_path("export_matrix"),
+            report=pick_path("report"),
             output=getattr(args, "output", None),
             degrees=degrees,
             constant=constant,
-            m_max=int(pick("m_max", 20)),
-            digits=int(getattr(args, "digits", None) or 30),
+            m_max=getattr(args, "m_max", 20),
+            digits=getattr(args, "digits", 30),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad configuration value: {exc}") from exc

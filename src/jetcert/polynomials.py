@@ -1,12 +1,16 @@
-"""Sparse multivariate polynomial arithmetic over ZZ and GF(p).
+"""Sparse multivariate polynomial arithmetic over ZZ, Q and GF(p).
 
-Everything downstream (chart geometry, jet expansion, obstruction rows) is
-built on the single class here.  Design points:
+Everything downstream (chart geometry, jet expansion, obstruction rows, and
+the jet-tower classes in ``thresholds``) is built on the single class here.
+Design points:
 
 * A polynomial is a map ``exponent tuple -> nonzero coefficient`` plus an
-  ``arity`` (number of variables) and a ``modulus`` (``None`` for integer
-  coefficients, a prime ``p`` for GF(p) with canonical representatives
-  ``0..p-1``).  Zero coefficients are never stored.
+  ``arity`` (number of variables) and a ``modulus``.  ``modulus=None``
+  means exact integer or rational (``fractions.Fraction``) coefficients; a
+  prime ``p`` means GF(p) with canonical representatives ``0..p-1``.  Zero
+  coefficients are never stored.  :func:`exact_div` and
+  :meth:`MultiPoly.reduce_mod` need integer coefficients when
+  ``modulus=None``.
 * The monomial order used for canonical iteration, leading terms and text
   rendering is graded lexicographic with the fixed variable order of the
   exponent tuples (higher total degree first, then lexicographically larger
@@ -18,7 +22,7 @@ built on the single class here.  Design points:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class RingMismatch(Exception):
@@ -178,7 +182,7 @@ class MultiPoly:
     def __rsub__(self, other: int) -> "MultiPoly":
         return MultiPoly.constant(self.arity, other, self.modulus) - self
 
-    def scale(self, value: int) -> "MultiPoly":
+    def scale(self, value: int | Fraction) -> "MultiPoly":
         p = self.modulus
         if p is not None:
             value %= p
@@ -389,17 +393,6 @@ class MultiPoly:
             for pattern, terms in out.items()
         }
 
-    def map_coefficients(self, fn: Callable[[int], int]) -> "MultiPoly":
-        out = {}
-        p = self.modulus
-        for e, c in self.terms.items():
-            c = fn(c)
-            if p is not None:
-                c %= p
-            if c:
-                out[e] = c
-        return MultiPoly._make(self.arity, out, p)
-
     # -- rendering ---------------------------------------------------------------
 
     def to_str(self, names: tuple[str, ...] | list[str]) -> str:
@@ -432,11 +425,6 @@ class MultiPoly:
 
 
 # -- free functions mirroring the public contract --------------------------------
-
-
-def mul(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Product of two polynomials over the same ring."""
-    return f * g
 
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:

@@ -14,7 +14,10 @@ are floating-point.  The module covers four calculators:
 * ``tower_reduce`` / ``tower_integral`` / ``z_cube_intersection`` — a term
   rewriting engine for the cohomology of the two-step jet tower over the
   plane, normalizing by the two quadratic fiber relations alone and pairing
-  degree-4 classes to numbers.
+  degree-4 classes to numbers.  Tower classes are exact
+  :class:`~jetcert.polynomials.MultiPoly` values in the five classes
+  ``u1, u2, h, c1, c2`` with rational coefficients; ``codimensions`` gives
+  their weighted codimensions.
 
 ``exceptional_pairs`` enumerates the finitely many weight/twist pairs that
 escape both analytic regimes for a given constant and therefore need an
@@ -27,7 +30,9 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping
+from typing import Iterable
+
+from .polynomials import MultiPoly
 
 
 class DegenerateTotalDegree(Exception):
@@ -400,106 +405,25 @@ def two_over_tau1(m: int, t: int) -> QuadExt:
 
 # -- intersection ring of the two-step jet tower ----------------------------------------
 
-# Exponent order: (u1, u2, h, c1, c2); codimension weights (1, 1, 1, 1, 2).
+# Tower classes are exact MultiPolys in five variables (u1, u2, h, c1, c2):
+# the tautological classes ``u1, u2``, the hyperplane class ``h`` and the
+# formal bundle classes ``c1, c2``, of codimension 1, 1, 1, 1, 2.
 _WEIGHTS = (1, 1, 1, 1, 2)
-TowerKey = tuple[int, int, int, int, int]
 
-
-@dataclass(frozen=True)
-class TowerElement:
-    """Integer/rational combination of monomials in the tautological classes
-    ``u1, u2``, the hyperplane class ``h``, and the formal bundle classes
-    ``c1, c2`` (codimension 1, 1, 1, 1, 2)."""
-
-    terms: Mapping[TowerKey, Fraction]
-
-    @classmethod
-    def of(cls, terms: Mapping[TowerKey, Fraction | int]) -> "TowerElement":
-        clean = {
-            key: Fraction(value) for key, value in terms.items() if Fraction(value)
-        }
-        return cls(terms=clean)
-
-    @classmethod
-    def zero(cls) -> "TowerElement":
-        return cls(terms={})
-
-    def __add__(self, other: "TowerElement") -> "TowerElement":
-        terms = dict(self.terms)
-        for key, value in other.terms.items():
-            updated = terms.get(key, Fraction(0)) + value
-            if updated:
-                terms[key] = updated
-            else:
-                terms.pop(key, None)
-        return TowerElement(terms=terms)
-
-    def __neg__(self) -> "TowerElement":
-        return TowerElement(terms={k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other: "TowerElement") -> "TowerElement":
-        return self + (-other)
-
-    def scale(self, factor) -> "TowerElement":
-        factor = Fraction(factor)
-        if not factor:
-            return TowerElement.zero()
-        return TowerElement(terms={k: v * factor for k, v in self.terms.items()})
-
-    def __mul__(self, other: "TowerElement") -> "TowerElement":
-        terms: dict[TowerKey, Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                updated = terms.get(key, Fraction(0)) + v1 * v2
-                if updated:
-                    terms[key] = updated
-                else:
-                    terms.pop(key, None)
-        return TowerElement(terms=terms)
-
-    def __pow__(self, exponent: int) -> "TowerElement":
-        result = TOWER_ONE
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def degrees(self) -> set[int]:
-        return {
-            sum(e * w for e, w in zip(key, _WEIGHTS)) for key in self.terms
-        }
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TowerElement):
-            return NotImplemented
-        return dict(self.terms) == dict(other.terms)
-
-
-def _monomial(key: TowerKey, value=1) -> TowerElement:
-    return TowerElement.of({key: value})
-
-
-TOWER_ONE = _monomial((0, 0, 0, 0, 0))
-U1 = _monomial((1, 0, 0, 0, 0))
-U2 = _monomial((0, 1, 0, 0, 0))
-H = _monomial((0, 0, 1, 0, 0))
-C1 = _monomial((0, 0, 0, 1, 0))
-C2 = _monomial((0, 0, 0, 0, 1))
+U1, U2, H, C1, C2 = (MultiPoly.variable(5, i) for i in range(5))
 
 #: Fiber relation on the first bundle level: u1^2 = -c1*u1 - c2.
-_U1_SQUARE = TowerElement.of({(1, 0, 0, 1, 0): -1, (0, 0, 0, 0, 1): -1})
+_U1_SQUARE = -(C1 * U1) - C2
 #: Fiber relation on the second level: u2^2 = -(c1 + u1)*u2 - (2*c2 + c1*u1).
-_U2_SQUARE = TowerElement.of(
-    {
-        (0, 1, 0, 1, 0): -1,
-        (1, 1, 0, 0, 0): -1,
-        (0, 0, 0, 0, 1): -2,
-        (1, 0, 0, 1, 0): -1,
-    }
-)
+_U2_SQUARE = -((C1 + U1) * U2) - (C2.scale(2) + C1 * U1)
 
 
-def tower_reduce(element: TowerElement, *, prefer: str = "u1") -> TowerElement:
+def codimensions(element: MultiPoly) -> set[int]:
+    """The weighted codimensions of the terms of a tower class."""
+    return {sum(e * w for e, w in zip(key, _WEIGHTS)) for key in element.terms}
+
+
+def tower_reduce(element: MultiPoly, *, prefer: str = "u1") -> MultiPoly:
     """Normal form with every term's ``u1``- and ``u2``-exponent at most 1.
 
     The two fiber relations are the only rewrite rules.  ``prefer`` selects
@@ -510,29 +434,23 @@ def tower_reduce(element: TowerElement, *, prefer: str = "u1") -> TowerElement:
         raise ValueError("prefer must be 'u1' or 'u2'")
     first_slot = 0 if prefer == "u1" else 1
     pending = dict(element.terms)
-    settled: dict[TowerKey, Fraction] = {}
+    settled: dict[tuple[int, ...], Fraction] = {}
     while pending:
         key, value = pending.popitem()
+        if not value:
+            continue
         slots = [s for s in (first_slot, 1 - first_slot) if key[s] >= 2]
         if not slots:
-            updated = settled.get(key, Fraction(0)) + value
-            if updated:
-                settled[key] = updated
-            else:
-                settled.pop(key, None)
+            settled[key] = settled.get(key, 0) + value
             continue
         slot = slots[0]
         rule = _U1_SQUARE if slot == 0 else _U2_SQUARE
         stripped = list(key)
         stripped[slot] -= 2
-        replacement = _monomial(tuple(stripped), value) * rule
-        for rkey, rvalue in replacement.terms.items():
-            updated = pending.get(rkey, Fraction(0)) + rvalue
-            if updated:
-                pending[rkey] = updated
-            else:
-                pending.pop(rkey, None)
-    return TowerElement(terms=settled)
+        for rkey, rvalue in rule.terms.items():
+            shifted = tuple(a + b for a, b in zip(stripped, rkey))
+            pending[shifted] = pending.get(shifted, 0) + value * rvalue
+    return MultiPoly(5, settled)
 
 
 #: Degree-2 base pairings in the three-conic specialization:
@@ -546,7 +464,7 @@ THREE_CONIC_PAIRINGS = {
 
 
 def tower_integral(
-    element: TowerElement, *, symbolic: bool = False
+    element: MultiPoly, *, symbolic: bool = False
 ) -> Fraction | dict[tuple[int, int], Fraction]:
     """Pair a codimension-4 class against the fundamental class of the
     two-step tower over the plane.
@@ -559,7 +477,7 @@ def tower_integral(
     forced), which is how the split-independence question is settled without
     assuming the specialization."""
     reduced = tower_reduce(element)
-    degrees = reduced.degrees()
+    degrees = codimensions(reduced)
     if degrees - {4}:
         raise DegreeMismatch(f"pairing needs pure codimension 4, found {sorted(degrees)}")
     symbols: dict[tuple[int, int], Fraction] = {}

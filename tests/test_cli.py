@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -74,7 +75,10 @@ def test_verify_twist_three_weight_one_has_constant_stratum(capsys):
         ("verify", "--m", "3", "--t", "3", "--conics", "/nonexistent.json"),
         ("thresholds", "--degrees", "1,1,1"),
         ("thresholds", "--degrees", "3,2"),
+        ("thresholds", "--digits", "-3"),
+        ("thresholds", "--digits", "0"),
         ("enumerate", "--c", "9/5"),
+        ("verify", "--m", "3", "--t", "3", "--report", "/nonexistent/dir/r.json"),
     ],
 )
 def test_config_errors_exit_two(capsys, argv):
@@ -239,6 +243,22 @@ def test_config_file_merging(capsys, tmp_path):
     assert code == 0
     assert payload["params"]["m"] == 4
     assert payload["params"]["t"] == 3
+    # A path value that is not a string is bad input, not a crash.
+    config.write_text(json.dumps({"m": 3, "t": 3, "report": ["a.json"]}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(config))
+    assert code == 2
+    assert err == "error: report must be a file path\n"
+
+
+def test_verify_config_ignores_calculator_keys(capsys, tmp_path):
+    # degrees, c and m_max are flags of thresholds/enumerate, not config keys.
+    config = tmp_path / "run.json"
+    config.write_text(
+        json.dumps({"m": 3, "t": 3, "degrees": "3,2", "c": "x", "m_max": "many"})
+    )
+    code, payload = run_json(capsys, "verify", "--config", str(config))
+    assert code == 0
+    assert payload["result"]["verdict"] == "vanishing-certified"
 
 
 def test_parse_charts_variants():
@@ -305,3 +325,86 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pairs"][0] == [3, 3]
+
+
+# -- seeded fuzz of the exit-code contract -----------------------------------------------
+
+_FUZZ_FLAG_VALUES = {
+    "thresholds": {
+        "--degrees": ("3,2,2", "2,2,2", "4,3,1", "1,1,1", "2,3", "3,,2", "-1,2,2", "x"),
+        "--m": ("-1", "0", "1", "3", "5", "12", "x"),
+        "--t": ("-1", "0", "1", "3", "5", "12", "x"),
+        "--digits": ("-3", "-1", "0", "1", "5", "30", "x"),
+    },
+    "enumerate": {
+        "--c": ("5", "19", "9/5", "7/3", "-2", "1/0", "nan", "x"),
+        "--m-max": ("-1", "0", "3", "20", "x"),
+    },
+    "tower": {},
+}
+_FUZZ_STRAYS = ("--bogus", "--conics", "--c", "--digits", "--m", "5", "x")
+_FUZZ_JUNK = (
+    "x", "", -1, 0, 2, 1.5, None, True, [], {}, [0, 9], "z0,z0", "7.5",
+    "/nonexistent/dir/file", ".",
+)
+_FERMAT_ROWS = [[2, 1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [1, 1, 2, 0, 0, 0]]
+
+
+def _fuzz_calculator_argv(rng):
+    command = rng.choice(("thresholds", "thresholds", "enumerate", "enumerate", "tower"))
+    flags = _FUZZ_FLAG_VALUES[command]
+    argv = [command]
+    for flag in sorted(flags):
+        if rng.random() < 0.7:
+            argv += [flag, rng.choice(flags[flag])]
+    # A bare `tower` is covered by test_tower_command; here it only gets
+    # stray tokens: unknown flags, flags of other commands, dangling flags.
+    if command == "tower" or rng.random() < 0.15:
+        argv += rng.sample(_FUZZ_STRAYS, rng.randint(1, 2))
+    return argv
+
+
+def _fuzz_verify_argv(rng, tmp_path, case):
+    m, t = rng.randint(0, 3), rng.randint(-1, 10)
+    if rng.random() < 0.5:
+        config = {"m": m, "t": t, "conics": "fermat", "prime": 5, "charts": "z0,z2"}
+        keys = sorted(config) + ["report", "export_matrix"]
+        for key in rng.sample(keys, rng.choice((0, 1, 1, 2))):
+            config[key] = rng.choice(_FUZZ_JUNK)
+        text = json.dumps(config)
+        if rng.random() < 0.2:
+            text = text[: rng.randrange(len(text))]
+        path = tmp_path / f"config{case}.json"
+        path.write_text(text)
+        return ["verify", "--config", str(path)]
+    rows = [list(row) for row in _FERMAT_ROWS]
+    edit = rng.randrange(5)
+    if edit == 1:
+        rows[rng.randrange(3)][rng.randrange(6)] = rng.choice(_FUZZ_JUNK)
+    elif edit == 2:
+        rows = rows[: rng.randint(0, 2)] if rng.random() < 0.5 else rows + [rows[0]]
+    elif edit == 3:
+        rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(3)]
+    elif edit == 4:
+        rows[rng.randrange(3)] = rows[rng.randrange(3)][: rng.randint(0, 5)]
+    path = tmp_path / f"conics{case}.json"
+    path.write_text(json.dumps(rows))
+    return ["verify", "--conics", str(path), "--m", str(m), "--t", str(t),
+            "--prime", rng.choice(("2", "3", "5", "7", "11"))]
+
+
+def test_fuzzed_input_keeps_exit_code_contract(capsys, tmp_path, monkeypatch):
+    """Seeded random argv, config and conic files: every outcome is one of
+    the documented verdict or bad-input codes, never a crash."""
+    monkeypatch.chdir(tmp_path)  # junk report paths such as "x" land here
+    rng = random.Random(20261018)
+    cases = [_fuzz_calculator_argv(rng) for _ in range(150)]
+    cases += [_fuzz_verify_argv(rng, tmp_path, case) for case in range(24)]
+    for argv in cases:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err and "internal:" not in err, (argv, err)

@@ -15,7 +15,6 @@ from jetcert.polynomials import (
     coefficient_of,
     exact_div,
     glex_key,
-    mul,
     obstruction,
 )
 

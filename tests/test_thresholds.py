@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetcert.polynomials import MultiPoly
 from jetcert.thresholds import (
     C1,
     C2,
@@ -22,8 +23,8 @@ from jetcert.thresholds import (
     DegreeTriple,
     QuadExt,
     SplitMismatch,
-    TowerElement,
     build_threshold_report,
+    codimensions,
     delta1,
     exceptional_pairs,
     quartic_monomial_table,
@@ -279,11 +280,16 @@ def test_tower_symbolic_pairings_specialize():
 
 
 def test_tower_element_helpers():
-    assert TowerElement.zero() + U1 == U1
-    assert U1 - U1 == TowerElement.zero()
-    assert U1.scale(0) == TowerElement.zero()
-    assert (C2).degrees() == {2}
-    assert (U1 * C2).degrees() == {3}
+    zero = MultiPoly.zero(5)
+    assert zero + U1 == U1
+    assert U1 - U1 == zero
+    assert U1.scale(0) == zero
+    assert codimensions(C2) == {2}
+    assert codimensions(U1 * C2) == {3}
+    assert codimensions(zero) == set()
+    half = H.scale(Fraction(1, 2))
+    assert half.terms == {(0, 0, 1, 0, 0): Fraction(1, 2)}
+    assert half * 2 == H
 
 
 # -- degree-4 self-intersection ------------------------------------------------------------
