@@ -67,7 +67,6 @@ class RunConfig:
     t: int | None = None
     prime: int = 5
     charts: tuple[int, ...] = (0, 2)
-    parallel: bool = False
     export_matrix: str | None = None
     report: str | None = None
     output: str | None = None
@@ -193,14 +192,11 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
     timings: dict[str, float] = {}
 
     start = time.perf_counter()
-    system = assemble(
-        triple, cfg.m, cfg.t, cfg.prime, cfg.charts, parallel=cfg.parallel
-    )
+    system = assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
     timings["assemble_s"] = round(time.perf_counter() - start, 6)
 
     start = time.perf_counter()
-    workers = 4 if cfg.parallel else 0
-    outcome = rank_nullity(system, workers=workers)
+    outcome = rank_nullity(system)
     timings["eliminate_s"] = round(time.perf_counter() - start, 6)
     timings["max_rss_mb"] = round(
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2
@@ -220,7 +216,9 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
             "t": cfg.t,
             "prime": cfg.prime,
             "charts": list(cfg.charts),
-            "parallel": cfg.parallel,
+            # Always false: the certifier has one serial path, and
+            # perfbench/reference.json still pins this key.
+            "parallel": False,
             "jacobian_monomial": is_coordinate_triangle(jacobian),
         },
         counts={
@@ -261,9 +259,7 @@ def run_export(cfg: RunConfig) -> dict:
         raise ConfigError("export-matrix requires --output")
     triple = load_conics(cfg.conics)
     check_configuration(triple, cfg.prime)
-    system = assemble(
-        triple, cfg.m, cfg.t, cfg.prime, cfg.charts, parallel=cfg.parallel
-    )
+    system = assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
     write_sms(system, cfg.output)
     return {
         "output": cfg.output,
@@ -341,7 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--charts", default=None, help="comma list from z0,z1,z2 (default z0,z2)"
         )
-        p.add_argument("--parallel", action="store_true", default=None)
         p.add_argument("--config", default=None, help="JSON file with these keys")
         if with_verify_outputs:
             p.add_argument("--export-matrix", dest="export_matrix", default=None)
@@ -398,6 +393,18 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{name} must be a file path")
         return value
 
+    def pick_int(name, default):
+        value = pick(name, default)
+        if value is None and default is None:
+            return None
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return value
+
+    conics = pick("conics", "fermat")
+    if not isinstance(conics, str):
+        raise ConfigError(f"conics must be a preset name or file path, got {conics!r}")
+
     charts_value = pick("charts", "z0,z2")
     if isinstance(charts_value, str):
         charts = parse_charts(charts_value)
@@ -428,29 +435,21 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad constant {constant_value!r}") from exc
 
-    try:
-        prime = int(pick("prime", 5))
-        m_value = pick("m", None)
-        t_value = pick("t", None)
-        cfg = RunConfig(
-            command=args.command,
-            conics=str(pick("conics", "fermat")),
-            m=None if m_value is None else int(m_value),
-            t=None if t_value is None else int(t_value),
-            prime=prime,
-            charts=charts,
-            parallel=bool(pick("parallel", False)),
-            export_matrix=pick_path("export_matrix"),
-            report=pick_path("report"),
-            output=getattr(args, "output", None),
-            degrees=degrees,
-            constant=constant,
-            m_max=getattr(args, "m_max", 20),
-            digits=getattr(args, "digits", 30),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
-    return cfg
+    return RunConfig(
+        command=args.command,
+        conics=conics,
+        m=pick_int("m", None),
+        t=pick_int("t", None),
+        prime=pick_int("prime", 5),
+        charts=charts,
+        export_matrix=pick_path("export_matrix"),
+        report=pick_path("report"),
+        output=getattr(args, "output", None),
+        degrees=degrees,
+        constant=constant,
+        m_max=getattr(args, "m_max", 20),
+        digits=getattr(args, "digits", 30),
+    )
 
 
 def _dump(payload: dict) -> str:

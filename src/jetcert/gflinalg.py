@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 from .linsys import LinearSystem
 
@@ -73,10 +72,8 @@ def _active_rows(system: LinearSystem) -> tuple[list[dict[int, int]], dict[int, 
     return rows, columns
 
 
-def _eliminate(
-    system: LinearSystem, *, workers: int = 0
-) -> tuple[list[tuple[int, int, dict[int, int]]], int]:
-    """Forward elimination; returns the pivot log and the rank.
+def _eliminate(system: LinearSystem) -> list[tuple[int, int, dict[int, int]]]:
+    """Forward elimination; returns the pivot log, one entry per rank.
 
     Each log entry is ``(col, row_index, frozen_row)`` where ``frozen_row``
     is the pivot row at the moment it was used, normalized to pivot 1 and
@@ -86,72 +83,55 @@ def _eliminate(
     rows, columns = _active_rows(system)
     heap: list[tuple[int, int]] = [(len(rids), col) for col, rids in columns.items()]
     heapq.heapify(heap)
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     pivot_log: list[tuple[int, int, dict[int, int]]] = []
-    try:
-        while heap:
-            count, col = heapq.heappop(heap)
-            rids = columns.get(col)
-            if not rids:
-                continue
-            if count != len(rids):
-                heapq.heappush(heap, (len(rids), col))
-                continue
-            pivot_row_id = min(rids, key=lambda r: (len(rows[r]), r))
-            pivot = rows[pivot_row_id]
-            inv = pow(pivot[col], p - 2, p)
-            if inv != 1:
-                for c in pivot:
-                    pivot[c] = pivot[c] * inv % p
-            # Retire the pivot row from the active indices.
+    while heap:
+        count, col = heapq.heappop(heap)
+        rids = columns.get(col)
+        if not rids:
+            continue
+        if count != len(rids):
+            heapq.heappush(heap, (len(rids), col))
+            continue
+        pivot_row_id = min(rids, key=lambda r: (len(rows[r]), r))
+        pivot = rows[pivot_row_id]
+        inv = pow(pivot[col], p - 2, p)
+        if inv != 1:
             for c in pivot:
-                columns[c].discard(pivot_row_id)
-            targets = sorted(rids - {pivot_row_id})
-            rids.clear()
-
-            def update(rid: int) -> tuple[int, set[int], set[int]]:
-                row = rows[rid]
-                factor = row[col]
-                added: set[int] = set()
-                removed: set[int] = set()
-                for c, pc in pivot.items():
-                    val = (row.get(c, 0) - factor * pc) % p
-                    if val:
-                        if c not in row:
-                            added.add(c)
-                        row[c] = val
-                    elif c in row:
-                        del row[c]
-                        removed.add(c)
-                return rid, added, removed
-
-            if pool is not None and len(targets) > 1:
-                results = list(pool.map(update, targets))
-            else:
-                results = [update(rid) for rid in targets]
-            touched: set[int] = set()
-            for rid, added, removed in results:
-                for c in added:
-                    columns.setdefault(c, set()).add(rid)
-                    touched.add(c)
-                for c in removed:
+                pivot[c] = pivot[c] * inv % p
+        # Retire the pivot row from the active indices.
+        for c in pivot:
+            columns[c].discard(pivot_row_id)
+        targets = sorted(rids - {pivot_row_id})
+        rids.clear()
+        touched: set[int] = set()
+        for rid in targets:
+            row = rows[rid]
+            factor = row[col]
+            for c, pc in pivot.items():
+                val = (row.get(c, 0) - factor * pc) % p
+                if val:
+                    if c not in row:
+                        columns.setdefault(c, set()).add(rid)
+                        touched.add(c)
+                    row[c] = val
+                elif c in row:
+                    del row[c]
                     columns[c].discard(rid)
                     touched.add(c)
-            for c in touched:
-                if columns.get(c):
-                    heapq.heappush(heap, (len(columns[c]), c))
-            pivot_log.append((col, pivot_row_id, pivot))
-            rows[pivot_row_id] = {}
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
-    return pivot_log, len(pivot_log)
+        # Push the new counts only once every target is reduced.
+        for c in touched:
+            if columns.get(c):
+                heapq.heappush(heap, (len(columns[c]), c))
+        pivot_log.append((col, pivot_row_id, pivot))
+        rows[pivot_row_id] = {}
+    return pivot_log
 
 
-def rank_nullity(system: LinearSystem, *, workers: int = 0) -> EliminationResult:
+def rank_nullity(system: LinearSystem) -> EliminationResult:
     """Rank and nullity of the system over GF(p)."""
     _check_system(system)
-    pivot_log, rank = _eliminate(system, workers=workers)
+    pivot_log = _eliminate(system)
+    rank = len(pivot_log)
     return EliminationResult(
         prime=system.prime,
         n_vars=system.n_vars,
@@ -168,10 +148,15 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     coordinates are recovered by back-substitution through the pivot log
     in reverse order (each frozen pivot row is clear of earlier pivot
     columns, so a single reverse pass suffices).
+
+    ``workers`` is ignored: elimination is always serial.  The keyword is
+    kept only because the benchmark's traced replay
+    (``perfbench/traced.py``) still passes it.
     """
     _check_system(system)
     p = system.prime
-    pivot_log, rank = _eliminate(system, workers=workers)
+    pivot_log = _eliminate(system)
+    rank = len(pivot_log)
     pivot_cols = {col for col, _, _ in pivot_log}
     free_cols = [c for c in range(system.n_vars) if c not in pivot_cols]
     basis: list[dict[int, int]] = []

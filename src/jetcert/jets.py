@@ -55,7 +55,6 @@ certificate to be valid.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, NamedTuple
@@ -406,7 +405,11 @@ def expand_ansatz(
     division.
     ``"full"`` re-derives every stratum power with the second-order
     variables kept and eliminates them per block — the expensive cross-check
-    path, intended for small ``m``."""
+    path, intended for small ``m``.
+
+    ``parallel`` is ignored.  The expansion is always serial; the keyword is
+    kept only because the benchmark's traced replay (``perfbench/traced.py``)
+    still passes it."""
     if second_order not in ("reduced", "full"):
         raise ValueError("second_order must be 'reduced' or 'full'")
     m = space.m
@@ -423,27 +426,14 @@ def expand_ansatz(
     y_pows = _powers(beta5 * lift(a2), m)
     c_pows = _powers(wf.reduced * lift(a2 * b2 * uv2 * uv2), max_w)
 
-    def stratum_blocks(stratum: tuple[int, int]):
-        w, _degree = stratum
-        n = m - 3 * w
-        if second_order == "full":
-            tilde = wf.tilde
-            return [
-                ((w, k), _full_block(w, k, m, forms, tilde, a2, b2, uv2))
-                for k in range(n + 1)
-            ]
-        return [((w, k), c_pows[w] * x_pows[n - k] * y_pows[k]) for k in range(n + 1)]
-
-    if parallel and len(space.strata) > 1:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            chunks = list(pool.map(stratum_blocks, space.strata))
-    else:
-        chunks = [stratum_blocks(st) for st in space.strata]
-
     blocks: dict[tuple[int, int], dict[tuple[int, int, int], MultiPoly]] = {}
     denominators: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for chunk in chunks:
-        for (w, k), poly in chunk:
+    for w, _ in space.strata:
+        for k in range(m - 3 * w + 1):
+            if second_order == "full":
+                poly = _full_block(w, k, m, forms, wf.tilde, a2, b2, uv2)
+            else:
+                poly = c_pows[w] * x_pows[m - 3 * w - k] * y_pows[k]
             slot_map = poly.coefficient_map((2, 3, 4))
             for (i, j, kk) in slot_map:
                 if i + j + 3 * kk != m:
@@ -489,7 +479,10 @@ def obstruction_rows(
     Rows are the coefficients, over the unknowns, of every cleared-numerator
     ``(u, v)``-monomial with ``u``-degree < m or ``v``-degree < m; they are
     reduced mod ``prime``, normalized so the lowest-column coefficient is 1,
-    and ordered by ``(chart, slot, monomial)``."""
+    and ordered by ``(chart, slot, monomial)``.
+
+    ``parallel`` is ignored, for the same reason as in
+    :func:`expand_ansatz`."""
     if expansion.modulus is not None and expansion.modulus != prime:
         raise ValueError(
             f"expansion was built mod {expansion.modulus}, rows requested mod {prime}"
@@ -499,54 +492,31 @@ def obstruction_rows(
     chart = expansion.chart
     degrees = dict(space.strata)
 
-    # Precompute, per block, the strip of slot-polynomial terms that can ever
-    # land below the divisibility bound after a monomial shift.
-    block_strips: list[tuple[int, tuple[int, int], list[tuple[int, int, int]]]] = []
-    slot_ids: dict[tuple[int, int, int], int] = {}
+    # Only terms that can land below the divisibility bound after a
+    # monomial shift ever reach a row.
+    by_slot: dict[tuple[int, int, int], dict[tuple[int, int], dict[int, int]]] = {}
     for (w, k), slot_map in sorted(expansion.blocks.items()):
         for slot, poly in sorted(slot_map.items()):
-            if slot not in slot_ids:
-                slot_ids[slot] = len(slot_ids)
             strip = [
                 (su, sv, coeff)
                 for (su, sv), coeff in poly.terms.items()
                 if su < m or sv < m
             ]
-            if strip:
-                block_strips.append((slot_ids[slot], (w, k), strip))
+            if not strip:
+                continue
+            rows = by_slot.setdefault(slot, {})
+            for exps in space.stratum_monomials(degrees[w]):
+                col = space.index[AnsatzIndex(w, k, exps)]
+                eu, ev = chart_monomial_shift(chart, exps)
+                bound_u = m - eu
+                bound_v = m - ev
+                for su, sv, coeff in strip:
+                    if su < bound_u or sv < bound_v:
+                        bucket = rows.setdefault((su + eu, sv + ev), {})
+                        bucket[col] = bucket.get(col, 0) + coeff
 
-    def accumulate(work_item):
-        slot_id, (w, k), strip = work_item
-        rows: dict[tuple[int, int], dict[int, int]] = {}
-        for exps in space.stratum_monomials(degrees[w]):
-            col = space.index[AnsatzIndex(w, k, exps)]
-            eu, ev = chart_monomial_shift(chart, exps)
-            bound_u = m - eu
-            bound_v = m - ev
-            for su, sv, coeff in strip:
-                if su < bound_u or sv < bound_v:
-                    bucket = rows.setdefault((su + eu, sv + ev), {})
-                    bucket[col] = bucket.get(col, 0) + coeff
-        return slot_id, rows
-
-    if parallel and len(block_strips) > 1:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            partials = list(pool.map(accumulate, block_strips))
-    else:
-        partials = [accumulate(item) for item in block_strips]
-
-    merged: dict[int, dict[tuple[int, int], dict[int, int]]] = {}
-    for slot_id, rows in partials:
-        target = merged.setdefault(slot_id, {})
-        for monomial, bucket in rows.items():
-            dest = target.setdefault(monomial, {})
-            for col, coeff in bucket.items():
-                dest[col] = dest.get(col, 0) + coeff
-
-    id_to_slot = {v: k for k, v in slot_ids.items()}
     out: list[ObstructionRow] = []
-    for slot_id, by_monomial in merged.items():
-        slot = id_to_slot[slot_id]
+    for slot, by_monomial in by_slot.items():
         for monomial, bucket in by_monomial.items():
             entries = []
             for col in sorted(bucket):

@@ -3,7 +3,7 @@
 The set of obstruction rows is the union over the selected charts; rows are
 sorted by their provenance ``(chart, jet slot, monomial)`` and deduplicated by
 normalized content (first occurrence wins), so the result is independent of
-chart processing order and of any parallelism in the expansion stage.
+chart processing order.
 
 The export format is the plain-text sparse matrix market dialect used by
 exact linear-algebra toolkits: a header ``"<nrows> <ncols> M"``, one 1-based
@@ -79,7 +79,6 @@ def assemble(
     charts: tuple[int, ...] = (0, 2),
     *,
     second_order: str = "reduced",
-    parallel: bool = False,
 ) -> LinearSystem:
     """Build the full obstruction system for a configuration.
 
@@ -93,10 +92,8 @@ def assemble(
     all_rows: list[ObstructionRow] = []
     for chart in sorted(charts):
         data = chart_data(triple, chart, modulus=prime)
-        expansion = expand_ansatz(
-            data, space, second_order=second_order, parallel=parallel
-        )
-        all_rows.extend(obstruction_rows(expansion, prime, parallel=parallel))
+        expansion = expand_ansatz(data, space, second_order=second_order)
+        all_rows.extend(obstruction_rows(expansion, prime))
     return merge_rows(all_rows, prime, space.n_vars, space)
 
 

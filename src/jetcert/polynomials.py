@@ -133,7 +133,12 @@ class MultiPoly:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        ring = "ZZ" if self.modulus is None else f"GF({self.modulus})"
+        if self.modulus is not None:
+            ring = f"GF({self.modulus})"
+        elif any(isinstance(c, Fraction) for c in self.terms.values()):
+            ring = "QQ"
+        else:
+            ring = "ZZ"
         return f"MultiPoly(arity={self.arity}, ring={ring}, {len(self.terms)} terms)"
 
     def _check_compatible(self, other: "MultiPoly") -> None:

@@ -143,21 +143,6 @@ def test_report_is_deterministic_except_timings(capsys, tmp_path):
     assert payloads[0] == payloads[1]
 
 
-def test_parallel_report_matches_serial(capsys, tmp_path):
-    outputs = []
-    for flag in ([], ["--parallel"]):
-        path = tmp_path / f"report{len(outputs)}.json"
-        code, _ = run_json(
-            capsys, "verify", "--m", "3", "--t", "3", "--report", str(path), *flag
-        )
-        assert code == 0
-        payload = json.loads(path.read_text())
-        del payload["timings"]
-        del payload["params"]["parallel"]
-        outputs.append(payload)
-    assert outputs[0] == outputs[1]
-
-
 def test_report_checksum_matches_sms_export(capsys, tmp_path):
     report = tmp_path / "report.json"
     matrix = tmp_path / "matrix.sms"
@@ -248,6 +233,31 @@ def test_config_file_merging(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", "--config", str(config))
     assert code == 2
     assert err == "error: report must be a file path\n"
+    # The certifier has one serial path; a parallel key is ignored.
+    config.write_text(json.dumps({"m": 3, "t": 3, "parallel": True}))
+    code, payload = run_json(capsys, "verify", "--config", str(config))
+    assert code == 0
+    assert payload["params"]["parallel"] is False
+
+
+@pytest.mark.parametrize(
+    "values,reason",
+    [
+        ({"m": 3.9}, "m must be an integer, got 3.9"),
+        ({"t": True}, "t must be an integer, got True"),
+        ({"prime": 5.5}, "prime must be an integer, got 5.5"),
+        ({"prime": None}, "prime must be an integer, got None"),
+        ({"m": "3"}, "m must be an integer, got '3'"),
+        ({"conics": 5}, "conics must be a preset name or file path, got 5"),
+    ],
+)
+def test_config_file_values_keep_their_types(capsys, tmp_path, values, reason):
+    # A float, bool or string is rejected, never truncated or coerced.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"m": 3, "t": 3, **values}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: {reason}\n"
 
 
 def test_verify_config_ignores_calculator_keys(capsys, tmp_path):
@@ -315,6 +325,13 @@ def test_export_matrix_single_chart_allowed(capsys, tmp_path):
 def test_missing_required_argument_is_argparse_error(capsys):
     with pytest.raises(SystemExit):
         cli.main(["enumerate"])  # --c is required
+
+
+def test_parallel_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--m", "3", "--t", "3", "--parallel"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

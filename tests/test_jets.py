@@ -330,15 +330,6 @@ def test_wronskian_vector_annihilates_every_chart():
         wronskian_solution_vector(AnsatzSpace.build(3, 1))
 
 
-def test_parallel_expansion_matches_serial():
-    space = AnsatzSpace.build(3, 3)
-    data = chart_data(FERMAT, 0)
-    serial = expand_ansatz(data, space)
-    threaded = expand_ansatz(data, space, parallel=True)
-    assert serial.blocks == threaded.blocks
-    assert obstruction_rows(serial, 5) == obstruction_rows(threaded, 5, parallel=True)
-
-
 def test_case_m3_dim_counts_by_lattice_enumeration():
     counts = case_m3_dim_counts()
 

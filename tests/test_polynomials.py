@@ -53,6 +53,14 @@ def test_ring_mismatch_raises():
         _ = f * h
 
 
+def test_repr_names_the_coefficient_ring():
+    x = MultiPoly.variable(2, 0)
+    assert repr(x) == "MultiPoly(arity=2, ring=ZZ, 1 terms)"
+    half = x.scale(Fraction(1, 2)) + MultiPoly.constant(2, 3)
+    assert repr(half) == "MultiPoly(arity=2, ring=QQ, 2 terms)"
+    assert repr(MultiPoly.variable(2, 1, modulus=5)) == "MultiPoly(arity=2, ring=GF(5), 1 terms)"
+
+
 def test_canonical_form_drops_zeros_and_reduces():
     f = MultiPoly(2, {(1, 0): 5, (0, 1): 7, (0, 0): 3}, modulus=5)
     assert (1, 0) not in f.terms
