@@ -39,7 +39,7 @@ from .conics import (
     jacobian_cubic,
 )
 from .gflinalg import is_prime, rank_nullity
-from .linsys import IoFailure, assemble, sms_checksum, write_sms
+from .linsys import IoFailure, LinearSystem, assemble, sms_checksum, write_sms
 from .thresholds import (
     ConstantTooSmall,
     DegenerateTotalDegree,
@@ -176,24 +176,32 @@ def check_configuration(triple: ConicTriple, prime: int) -> None:
             )
 
 
-def run_verify(cfg: RunConfig) -> VanishingVerdict:
-    """Assemble, eliminate, and classify; see the exit-code contract above."""
+def _assemble_checked(
+    cfg: RunConfig, min_charts: int
+) -> tuple[ConicTriple, LinearSystem]:
+    """Validate the input shared by ``verify`` and ``export-matrix``, load
+    and check the conics, and assemble the system on ``cfg.charts``."""
     if cfg.m is None or cfg.t is None:
-        raise ConfigError("verify requires --m and --t")
+        raise ConfigError(f"{cfg.command} requires --m and --t")
     if cfg.m < 1 or cfg.t < 0:
         raise ConfigError("need weight m >= 1 and twist t >= 0")
     if not is_prime(cfg.prime):
         raise ConfigError(f"--prime must be prime, got {cfg.prime}")
-    if len(cfg.charts) < 2:
-        raise ConfigError("verify needs at least two charts to cover the surface")
+    if len(cfg.charts) < min_charts:
+        need = "one chart" if min_charts == 1 else "two charts to cover the surface"
+        raise ConfigError(f"{cfg.command} needs at least {need}")
     triple = load_conics(cfg.conics)
     check_configuration(triple, cfg.prime)
-    jacobian = jacobian_cubic(triple)
-    timings: dict[str, float] = {}
+    return triple, assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
 
+
+def run_verify(cfg: RunConfig) -> VanishingVerdict:
+    """Assemble, eliminate, and classify; see the exit-code contract above."""
+    timings: dict[str, float] = {}
     start = time.perf_counter()
-    system = assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
+    triple, system = _assemble_checked(cfg, 2)
     timings["assemble_s"] = round(time.perf_counter() - start, 6)
+    jacobian = jacobian_cubic(triple)
 
     start = time.perf_counter()
     outcome = rank_nullity(system)
@@ -247,19 +255,9 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
 
 
 def run_export(cfg: RunConfig) -> dict:
-    if cfg.m is None or cfg.t is None:
-        raise ConfigError("export-matrix requires --m and --t")
-    if cfg.m < 1 or cfg.t < 0:
-        raise ConfigError("need weight m >= 1 and twist t >= 0")
-    if not is_prime(cfg.prime):
-        raise ConfigError(f"--prime must be prime, got {cfg.prime}")
-    if not cfg.charts:
-        raise ConfigError("export-matrix needs at least one chart")
     if not cfg.output:
         raise ConfigError("export-matrix requires --output")
-    triple = load_conics(cfg.conics)
-    check_configuration(triple, cfg.prime)
-    system = assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
+    _, system = _assemble_checked(cfg, 1)
     write_sms(system, cfg.output)
     return {
         "output": cfg.output,

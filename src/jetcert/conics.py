@@ -179,9 +179,9 @@ class ChartData:
     """Dehomogenized data of a conic triple on one affine chart.
 
     Fields ``a, b, c`` are the three conics restricted to the chart (arity-2
-    polynomials in the chart variables ``(u, v)``); ``*_u`` / ``*_v`` are the
-    first partials, ``*_uu, *_uv, *_vv`` the (constant) second partials, and
-    ``det`` is the 3x3 determinant described in the module docstring.
+    polynomials in the chart variables ``(u, v)``) and ``det`` is the 3x3
+    determinant described in the module docstring.  Partial derivatives are
+    taken by the callers that need them, with :meth:`MultiPoly.deriv`.
     """
 
     chart: int
@@ -189,25 +189,7 @@ class ChartData:
     a: MultiPoly
     b: MultiPoly
     c: MultiPoly
-    a_u: MultiPoly
-    a_v: MultiPoly
-    b_u: MultiPoly
-    b_v: MultiPoly
-    c_u: MultiPoly
-    c_v: MultiPoly
-    a_uu: MultiPoly
-    a_uv: MultiPoly
-    a_vv: MultiPoly
-    b_uu: MultiPoly
-    b_uv: MultiPoly
-    b_vv: MultiPoly
-    c_uu: MultiPoly
-    c_uv: MultiPoly
-    c_vv: MultiPoly
     det: MultiPoly
-
-    def functions(self) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-        return (self.a, self.b, self.c)
 
 
 def _det3_int(m: Sequence[Sequence[int]]) -> int:
@@ -255,21 +237,16 @@ def is_coordinate_triangle(cubic: MultiPoly) -> bool:
 def chart_data(
     triple: ConicTriple, chart: int, modulus: int | None = None
 ) -> ChartData:
-    """Restrict a triple to one affine chart and precompute all partials."""
+    """Restrict a triple to one affine chart and compute its determinant."""
     if chart not in CHART_AXES:
         raise ValueError(f"chart must be one of 0, 1, 2; got {chart!r}")
     polys = triple.polynomials(modulus)
     dehom = [p.dehomogenize(chart) for p in polys]
-    first = [[p.deriv(i) for i in range(2)] for p in dehom]
-    second = [
-        [p.deriv(0).deriv(0), p.deriv(0).deriv(1), p.deriv(1).deriv(1)]
-        for p in dehom
-    ]
     det = _det_poly_matrix(
         [
-            [dehom[0], dehom[1], dehom[2]],
-            [first[0][0], first[1][0], first[2][0]],
-            [first[0][1], first[1][1], first[2][1]],
+            dehom,
+            [p.deriv(0) for p in dehom],
+            [p.deriv(1) for p in dehom],
         ]
     )
     return ChartData(
@@ -278,21 +255,6 @@ def chart_data(
         a=dehom[0],
         b=dehom[1],
         c=dehom[2],
-        a_u=first[0][0],
-        a_v=first[0][1],
-        b_u=first[1][0],
-        b_v=first[1][1],
-        c_u=first[2][0],
-        c_v=first[2][1],
-        a_uu=second[0][0],
-        a_uv=second[0][1],
-        a_vv=second[0][2],
-        b_uu=second[1][0],
-        b_uv=second[1][1],
-        b_vv=second[1][2],
-        c_uu=second[2][0],
-        c_uv=second[2][1],
-        c_vv=second[2][2],
         det=det,
     )
 

@@ -64,8 +64,6 @@ from .polynomials import MultiPoly, exact_div
 
 # Variable layout of the frame stage: (u, v, u1, v1, u2, v2).
 _U, _V, _U1, _V1, _U2, _V2 = range(6)
-#: Variable names of the reduced five-variable jet ring.
-REDUCED_VARIABLES = ("u", "v", "u1", "v1", "W")
 
 
 class ResidualSecondDerivative(Exception):
@@ -79,59 +77,49 @@ class ResidualSecondDerivative(Exception):
 @dataclass(frozen=True)
 class LogJetForms:
     """Numerators of the chart's log-derivative 1- and 2-jets, as polynomials
-    in ``(u, v, u1, v1, u2, v2)``.  Denominator exponents over ``(a, b, c)``
-    are recorded, never expanded."""
+    in ``(u, v, u1, v1, u2, v2)``.  Their denominators ``a*c``, ``b*c``,
+    ``a^2*c^2`` and ``b^2*c^2`` are never expanded."""
 
     alpha: MultiPoly
     beta: MultiPoly
     gamma_a: MultiPoly
     gamma_b: MultiPoly
 
-    #: denominator exponents over (a, b, c)
-    alpha_denominator = (1, 0, 1)
-    beta_denominator = (0, 1, 1)
-    gamma_a_denominator = (2, 0, 2)
-    gamma_b_denominator = (0, 2, 2)
+
+def _lift(poly: MultiPoly) -> MultiPoly:
+    """A chart polynomial in ``(u, v)`` as a polynomial of the frame stage."""
+    return poly.embed(6, (_U, _V))
 
 
-def _first_derivative(f_u: MultiPoly, f_v: MultiPoly) -> MultiPoly:
-    u1 = MultiPoly.variable(6, _U1, f_u.modulus)
-    v1 = MultiPoly.variable(6, _V1, f_u.modulus)
-    return f_u.embed(6, (_U, _V)) * u1 + f_v.embed(6, (_U, _V)) * v1
+def _first_derivative(f: MultiPoly) -> MultiPoly:
+    """``f' = f_u*u1 + f_v*v1`` for a chart polynomial ``f``."""
+    u1 = MultiPoly.variable(6, _U1, f.modulus)
+    v1 = MultiPoly.variable(6, _V1, f.modulus)
+    return _lift(f.deriv(0)) * u1 + _lift(f.deriv(1)) * v1
 
 
-def _second_derivative(
-    f_u: MultiPoly,
-    f_v: MultiPoly,
-    f_uu: MultiPoly,
-    f_uv: MultiPoly,
-    f_vv: MultiPoly,
-) -> MultiPoly:
-    modulus = f_u.modulus
+def _second_derivative(f: MultiPoly) -> MultiPoly:
+    """``f'' = f_u*u2 + f_v*v2 + f_uu*u1^2 + 2*f_uv*u1*v1 + f_vv*v1^2``."""
+    modulus = f.modulus
     u1 = MultiPoly.variable(6, _U1, modulus)
     v1 = MultiPoly.variable(6, _V1, modulus)
     u2 = MultiPoly.variable(6, _U2, modulus)
     v2 = MultiPoly.variable(6, _V2, modulus)
-    lift = lambda p: p.embed(6, (_U, _V))  # noqa: E731 - tiny local alias
+    f_u, f_v = f.deriv(0), f.deriv(1)
     return (
-        lift(f_u) * u2
-        + lift(f_v) * v2
-        + lift(f_uu) * u1 * u1
-        + lift(f_uv) * u1 * v1 * 2
-        + lift(f_vv) * v1 * v1
+        _lift(f_u) * u2
+        + _lift(f_v) * v2
+        + _lift(f_u.deriv(0)) * u1 * u1
+        + _lift(f_u.deriv(1)) * u1 * v1 * 2
+        + _lift(f_v.deriv(1)) * v1 * v1
     )
 
 
 def log_jet_forms(data: ChartData) -> LogJetForms:
     """First- and second-order numerators of ``d log(a/c)`` and ``d log(b/c)``."""
-    lift = lambda p: p.embed(6, (_U, _V))  # noqa: E731
-    a, b, c = (lift(q) for q in (data.a, data.b, data.c))
-    a1 = _first_derivative(data.a_u, data.a_v)
-    b1 = _first_derivative(data.b_u, data.b_v)
-    c1 = _first_derivative(data.c_u, data.c_v)
-    a2 = _second_derivative(data.a_u, data.a_v, data.a_uu, data.a_uv, data.a_vv)
-    b2 = _second_derivative(data.b_u, data.b_v, data.b_uu, data.b_uv, data.b_vv)
-    c2 = _second_derivative(data.c_u, data.c_v, data.c_uu, data.c_uv, data.c_vv)
+    a, b, c = (_lift(q) for q in (data.a, data.b, data.c))
+    a1, b1, c1 = (_first_derivative(q) for q in (data.a, data.b, data.c))
+    a2, b2, c2 = (_second_derivative(q) for q in (data.a, data.b, data.c))
     alpha = a1 * c - c1 * a
     beta = b1 * c - c1 * b
     gamma_a = (a2 * a - a1 * a1) * c * c - (c2 * c - c1 * c1) * a * a
@@ -147,14 +135,13 @@ class WronskianForm:
     equivalent five-variable form on ``(u, v, u1, v1, W)`` after the
     second-order variables are eliminated through ``W = u1*v2 - v1*u2``;
     ``w_coefficient`` is the bivariate coefficient of ``W`` (equal to
-    ``a*b*c^2 * D``)."""
+    ``a*b*c^2 * D``); ``forms`` are the log-jet numerators it was built from,
+    kept so that the chart's frame is derived once."""
 
     tilde: MultiPoly
     reduced: MultiPoly
     w_coefficient: MultiPoly
-
-    #: denominator exponents over (a, b, c)
-    denominator = (2, 2, 3)
+    forms: LogJetForms
 
 
 def _drop_second_order(poly: MultiPoly) -> MultiPoly:
@@ -171,8 +158,7 @@ def _drop_second_order(poly: MultiPoly) -> MultiPoly:
 def wronskian_form(data: ChartData) -> WronskianForm:
     """Build the Wronskian numerator and eliminate ``(u2, v2)`` through ``W``."""
     forms = log_jet_forms(data)
-    lift = lambda p: p.embed(6, (_U, _V))  # noqa: E731
-    a, b = lift(data.a), lift(data.b)
+    a, b = _lift(data.a), _lift(data.b)
     tilde = forms.alpha * forms.gamma_b * a - forms.gamma_a * forms.beta * b
     parts = tilde.coefficient_map((_U2, _V2))
     for pattern in parts:
@@ -199,7 +185,9 @@ def wronskian_form(data: ChartData) -> WronskianForm:
     w_coeff2 = grouped.get((0, 0), MultiPoly.zero(2, modulus))
     if set(grouped) - {(0, 0)}:
         raise ResidualSecondDerivative("W-coefficient should be jet-free")
-    return WronskianForm(tilde=tilde, reduced=reduced, w_coefficient=w_coeff2)
+    return WronskianForm(
+        tilde=tilde, reduced=reduced, w_coefficient=w_coeff2, forms=forms
+    )
 
 
 # -- ansatz bookkeeping -----------------------------------------------------------------
@@ -292,15 +280,14 @@ class JetExpansion:
     the unknowns by construction: the coefficient of the unknown
     ``(w, k, e)`` in the cleared numerator's slot ``(i, j, kk)`` is the
     ``(u, v)``-shift of ``blocks[(w, k)][(i, j, kk)]`` by the chart monomial
-    of ``e``.  ``denominators[(w, k)]`` records the pre-clearing denominator
-    exponents over ``(a, b, c, u*v)``."""
+    of ``e``.  Before clearing, the summand ``(w, k)`` has the denominator
+    ``a^(m-w-k) * b^(k+2w) * c^m * (u*v)^(m-2w)``; multiplying the twisted
+    ansatz by ``(u*v*a*b*c)^m`` turns it into ``B_{w,k}``."""
 
     chart: int
     space: AnsatzSpace
     modulus: int | None
-    second_order: str
     blocks: dict[tuple[int, int], dict[tuple[int, int, int], MultiPoly]]
-    denominators: dict[tuple[int, int], tuple[int, int, int, int]]
 
     def slots(self) -> list[tuple[int, int, int]]:
         m = self.space.m
@@ -342,27 +329,27 @@ def _powers(base: MultiPoly, top: int) -> list[MultiPoly]:
     return out
 
 
-def _full_block(
-    w: int,
-    k: int,
-    m: int,
-    forms: LogJetForms,
-    tilde: MultiPoly,
-    a2: MultiPoly,
-    b2: MultiPoly,
-    uv2: MultiPoly,
-) -> MultiPoly:
-    """Block B_{w,k} computed without the shortcut: keep the full
-    ``(u2, v2)`` dependence of the Wronskian power, then eliminate both
-    second-order variables jointly through ``W`` and certify that nothing
-    residual survives."""
-    modulus = tilde.modulus
+def full_block(
+    data: ChartData, m: int, w: int, k: int
+) -> dict[tuple[int, int, int], MultiPoly]:
+    """Block ``B_{w,k}`` in the jet-slot form of ``JetExpansion.blocks``,
+    computed without the shortcut of :func:`expand_ansatz`.
+
+    The Wronskian power keeps its full ``(u2, v2)`` dependence; both
+    second-order variables are then eliminated jointly through ``W`` and
+    nothing residual may survive.  This is the independent reference for the
+    expansion, much slower than it and meant for tests at small ``m``; the
+    certifier never calls it."""
+    wf = wronskian_form(data)
+    forms = wf.forms
+    modulus = data.a.modulus
+    uv = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
     # Work in (u, v, u1, v1, u2, v2, W).
     lift6 = lambda p: p.embed(7, (0, 1, 2, 3, 4, 5))  # noqa: E731
     lift2 = lambda p: p.embed(7, (0, 1))  # noqa: E731
-    product = lift6(forms.alpha ** (m - 3 * w - k) * forms.beta**k * tilde**w)
+    product = lift6(forms.alpha ** (m - 3 * w - k) * forms.beta**k * wf.tilde**w)
     product = product * lift2(
-        (a2**(w + k)) * (b2**(m - 2 * w - k)) * (uv2**(2 * w))
+        (data.a ** (w + k)) * (data.b ** (m - 2 * w - k)) * (uv ** (2 * w))
     )
     # Substitute v2 = (W + u2*v1)/u1, cleared by u1^w.
     by_v2 = product.coefficient_map((5,))
@@ -384,42 +371,35 @@ def _full_block(
     collapsed = replaced.coefficient_map((4, 5)).get(
         (0, 0), MultiPoly.zero(5, modulus)
     )
-    return exact_div(collapsed, MultiPoly.variable(5, 2, modulus) ** w)
+    block = exact_div(collapsed, MultiPoly.variable(5, 2, modulus) ** w)
+    return block.coefficient_map((2, 3, 4))
 
 
 def expand_ansatz(
-    data: ChartData,
-    space: AnsatzSpace,
-    *,
-    second_order: str = "reduced",
-    parallel: bool = False,
+    data: ChartData, space: AnsatzSpace, *, parallel: bool = False
 ) -> JetExpansion:
     """Expand every ansatz block on one chart into jet-slot form.
 
-    ``second_order="reduced"`` (default) eliminates ``(u2, v2)`` once, inside
-    :func:`wronskian_form`, and builds each block as the exact product
+    The second-order variables ``(u2, v2)`` are eliminated once, inside
+    :func:`wronskian_form`, which also yields the chart's log-jet forms.
+    Each block is then the exact product
     ``B_{w,k} = C_w * X^(n-k) * Y^k`` (``n = m - 3w``, ``X = alpha*b``,
     ``Y = beta*a``, ``C_w = L~_red^w * (a*b)^w * (u*v)^(2w)``).  The powers of
     ``X``, ``Y`` and ``C_1`` are computed once per chart and shared by all
     strata, so the expansion performs multiplications only, never a
-    division.
-    ``"full"`` re-derives every stratum power with the second-order
-    variables kept and eliminates them per block — the expensive cross-check
-    path, intended for small ``m``.
+    division.  :func:`full_block` recomputes any block the slow way, as a
+    reference for the tests.
 
     ``parallel`` is ignored.  The expansion is always serial; the keyword is
     kept only because the benchmark's traced replay (``perfbench/traced.py``)
     still passes it."""
-    if second_order not in ("reduced", "full"):
-        raise ValueError("second_order must be 'reduced' or 'full'")
     m = space.m
     modulus = data.a.modulus
     a2, b2 = data.a, data.b
     uv2 = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
-    forms = log_jet_forms(data)
     wf = wronskian_form(data)
-    alpha5 = _drop_second_order(forms.alpha).embed(5, (0, 1, 2, 3))
-    beta5 = _drop_second_order(forms.beta).embed(5, (0, 1, 2, 3))
+    alpha5 = _drop_second_order(wf.forms.alpha).embed(5, (0, 1, 2, 3))
+    beta5 = _drop_second_order(wf.forms.beta).embed(5, (0, 1, 2, 3))
     max_w = max((w for w, _ in space.strata), default=0)
     lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
     x_pows = _powers(alpha5 * lift(b2), m)
@@ -427,13 +407,9 @@ def expand_ansatz(
     c_pows = _powers(wf.reduced * lift(a2 * b2 * uv2 * uv2), max_w)
 
     blocks: dict[tuple[int, int], dict[tuple[int, int, int], MultiPoly]] = {}
-    denominators: dict[tuple[int, int], tuple[int, int, int, int]] = {}
     for w, _ in space.strata:
         for k in range(m - 3 * w + 1):
-            if second_order == "full":
-                poly = _full_block(w, k, m, forms, wf.tilde, a2, b2, uv2)
-            else:
-                poly = c_pows[w] * x_pows[m - 3 * w - k] * y_pows[k]
+            poly = c_pows[w] * x_pows[m - 3 * w - k] * y_pows[k]
             slot_map = poly.coefficient_map((2, 3, 4))
             for (i, j, kk) in slot_map:
                 if i + j + 3 * kk != m:
@@ -441,15 +417,7 @@ def expand_ansatz(
                         f"jet slot {(i, j, kk)} breaks weighted homogeneity"
                     )
             blocks[(w, k)] = slot_map
-            denominators[(w, k)] = (m - w - k, k + 2 * w, m, m - 2 * w)
-    return JetExpansion(
-        chart=data.chart,
-        space=space,
-        modulus=modulus,
-        second_order=second_order,
-        blocks=blocks,
-        denominators=denominators,
-    )
+    return JetExpansion(chart=data.chart, space=space, modulus=modulus, blocks=blocks)
 
 
 # -- obstruction rows -----------------------------------------------------------------
@@ -466,7 +434,10 @@ class ObstructionRow(NamedTuple):
     entries: tuple[tuple[int, int], ...]  # (column, coefficient), ascending
 
 
-def _row_sort_key(row: ObstructionRow):
+def row_sort_key(row: ObstructionRow):
+    """The canonical row order ``(chart, slot, monomial)``, monomials by total
+    degree first; shared by :func:`obstruction_rows` and
+    :func:`jetcert.linsys.merge_rows`."""
     i, j = row.monomial
     return (row.chart, row.slot, (i + j, i, j))
 
@@ -530,7 +501,7 @@ def obstruction_rows(
                 (col, coeff * lead_inverse % prime) for col, coeff in entries
             )
             out.append(ObstructionRow(chart, slot, monomial, normalized))
-    out.sort(key=_row_sort_key)
+    out.sort(key=row_sort_key)
     return out
 
 

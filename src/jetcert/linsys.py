@@ -16,7 +16,13 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .conics import ConicTriple, chart_data
-from .jets import AnsatzSpace, ObstructionRow, expand_ansatz, obstruction_rows
+from .jets import (
+    AnsatzSpace,
+    ObstructionRow,
+    expand_ansatz,
+    obstruction_rows,
+    row_sort_key,
+)
 
 
 class IoFailure(Exception):
@@ -49,9 +55,7 @@ def merge_rows(
     chart_rows: list[ObstructionRow], prime: int, n_vars: int, space: AnsatzSpace | None
 ) -> LinearSystem:
     """Sort, deduplicate and freeze obstruction rows into a system."""
-    ordered = sorted(
-        chart_rows, key=lambda r: (r.chart, r.slot, (sum(r.monomial), r.monomial))
-    )
+    ordered = sorted(chart_rows, key=row_sort_key)
     seen: set[Row] = set()
     rows: list[Row] = []
     provenance: list[tuple] = []
@@ -77,8 +81,6 @@ def assemble(
     t: int,
     prime: int,
     charts: tuple[int, ...] = (0, 2),
-    *,
-    second_order: str = "reduced",
 ) -> LinearSystem:
     """Build the full obstruction system for a configuration.
 
@@ -92,7 +94,7 @@ def assemble(
     all_rows: list[ObstructionRow] = []
     for chart in sorted(charts):
         data = chart_data(triple, chart, modulus=prime)
-        expansion = expand_ansatz(data, space, second_order=second_order)
+        expansion = expand_ansatz(data, space)
         all_rows.extend(obstruction_rows(expansion, prime))
     return merge_rows(all_rows, prime, space.n_vars, space)
 

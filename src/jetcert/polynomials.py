@@ -11,6 +11,9 @@ Design points:
   coefficients are never stored.  :func:`exact_div` and
   :meth:`MultiPoly.reduce_mod` need integer coefficients when
   ``modulus=None``.
+* Division is by a monomial only: :func:`exact_div` takes a single-term
+  divisor and divides term by term.  The jet pipeline divides by powers of
+  one jet variable and never needs general polynomial division.
 * The monomial order used for canonical iteration, leading terms and text
   rendering is graded lexicographic with the fixed variable order of the
   exponent tuples (higher total degree first, then lexicographically larger
@@ -433,50 +436,37 @@ class MultiPoly:
 
 
 def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact quotient ``f / g``; raises :class:`NonDivisible` with the
-    remainder attached when ``g`` does not divide ``f``.
+    """Exact quotient ``f / g`` by a single-term divisor ``g``; raises
+    :class:`NonDivisible` with the remainder attached when ``g`` does not
+    divide ``f``, and :class:`ValueError` when ``g`` has more than one term.
 
-    Uses single-divisor multivariate division in the graded-lexicographic
-    order.  Over GF(p) coefficients divide freely; over ZZ a coefficient that
-    is not an exact multiple sends the term to the remainder (for genuinely
-    divisible inputs the quotient is integral, so this never misfires).
+    Each term of ``f`` is divided on its own.  Over GF(p) coefficients divide
+    freely; over ZZ a coefficient that is not an exact multiple sends the term
+    to the remainder, as does a term the monomial of ``g`` does not divide.
     """
     f._check_compatible(g)
     if g.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(g.terms) != 1:
+        raise ValueError("exact_div divides by a single-term divisor only")
     p = f.modulus
-    g_exps, g_coeff = g.leading_term()
+    ((g_exps, g_coeff),) = g.terms.items()
     if p is not None:
         g_inv = pow(g_coeff, p - 2, p)
     quotient: dict[tuple[int, ...], int] = {}
     remainder: dict[tuple[int, ...], int] = {}
-    work = dict(f.terms)
-    while work:
-        exps = max(work, key=glex_key)
-        coeff = work.pop(exps)
+    for exps, coeff in f.terms.items():
         diff = tuple(a - b for a, b in zip(exps, g_exps))
-        ok = all(d >= 0 for d in diff)
-        if ok:
-            if p is not None:
-                q = coeff * g_inv % p
-            else:
-                q, rem = divmod(coeff, g_coeff)
-                ok = rem == 0
-        if not ok:
+        if min(diff, default=0) < 0:
             remainder[exps] = coeff
-            continue
-        quotient[diff] = q
-        for ge, gc in g.terms.items():
-            if ge == g_exps:
-                continue  # the popped leading term is already cancelled
-            key = tuple(d + e for d, e in zip(diff, ge))
-            acc = work.get(key, 0) - q * gc
-            if p is not None:
-                acc %= p
-            if acc:
-                work[key] = acc
-            elif key in work:
-                del work[key]
+        elif p is not None:
+            quotient[diff] = coeff * g_inv % p
+        else:
+            q, rem = divmod(coeff, g_coeff)
+            if rem:
+                remainder[exps] = coeff
+            else:
+                quotient[diff] = q
     if remainder:
         rem_poly = MultiPoly._make(f.arity, remainder, p)
         raise NonDivisible("polynomial division left a remainder", rem_poly)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from jetcert.conics import ChartData
+from jetcert.jets import AnsatzSpace, full_block
 from jetcert.polynomials import MultiPoly
 
 
@@ -23,6 +25,17 @@ def random_poly(
         coeff = rng.randint(coeff_low, coeff_high)
         terms[exps] = terms.get(exps, 0) + coeff
     return MultiPoly(arity, terms, modulus)
+
+
+def reference_blocks(data: ChartData, space: AnsatzSpace) -> dict:
+    """Every ansatz block on one chart, each derived on its own by
+    :func:`jetcert.jets.full_block`, keyed like ``JetExpansion.blocks``."""
+    m = space.m
+    return {
+        (w, k): full_block(data, m, w, k)
+        for w, _ in space.strata
+        for k in range(m - 3 * w + 1)
+    }
 
 
 def random_nonzero_poly(

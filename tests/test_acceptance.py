@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetcert.conics import PRESET_TRIPLES, jacobian_cubic
+from jetcert.conics import PRESET_TRIPLES, chart_data, jacobian_cubic
 from jetcert.gflinalg import (
     dense_rank_nullity,
     in_row_span,
@@ -25,7 +25,7 @@ from jetcert.gflinalg import (
     rank_nullity,
     verify_solution,
 )
-from jetcert.jets import AnsatzSpace, case_m3_dim_counts, twist_lowering_embedding, wronskian_solution_vector
+from jetcert.jets import AnsatzSpace, case_m3_dim_counts, expand_ansatz, twist_lowering_embedding, wronskian_solution_vector
 from jetcert.linsys import assemble, export_sms, import_sms
 from jetcert.polynomials import MultiPoly, obstruction
 from jetcert.thresholds import (
@@ -44,7 +44,7 @@ from jetcert.thresholds import (
     z_cube_intersection,
 )
 
-from _util import random_poly
+from _util import random_poly, reference_blocks
 
 FERMAT = PRESET_TRIPLES["fermat"]
 PRIME = 5
@@ -285,9 +285,12 @@ def test_unit_factor_never_changes_divisibility():
 
 @pytest.mark.parametrize("m,t", [(3, 0), (3, 3), (4, 3), (4, 4)])
 def test_reduced_substitution_matches_full_low_weight(m, t):
-    shortcut = assemble(FERMAT, m, t, PRIME, second_order="reduced")
-    full = assemble(FERMAT, m, t, PRIME, second_order="full")
-    assert shortcut == full
+    """The expansion's blocks equal the per-block elimination of
+    ``full_block`` on both default charts, so the assembled systems agree."""
+    space = AnsatzSpace.build(m, t)
+    for chart in (0, 2):
+        data = chart_data(FERMAT, chart, modulus=PRIME)
+        assert expand_ansatz(data, space).blocks == reference_blocks(data, space)
 
 
 def test_twist_lowering_embeds_solution_spaces():

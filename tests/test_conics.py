@@ -179,9 +179,9 @@ def test_fermat_chart0_worked_values():
     assert data.a == MultiPoly(2, {(0, 0): 2, (2, 0): 1, (0, 2): 1})
     assert data.a.to_str(data.variables) == "x^2 + y^2 + 2"
     assert data.det == MultiPoly(2, {(1, 1): 16})
-    assert data.a_u == MultiPoly(2, {(1, 0): 2})
-    assert data.a_uu == MultiPoly.constant(2, 2)
-    assert data.a_uv == MultiPoly.zero(2)
+    assert data.a.deriv(0) == MultiPoly(2, {(1, 0): 2})
+    assert data.a.deriv(0).deriv(0) == MultiPoly.constant(2, 2)
+    assert data.a.deriv(0).deriv(1) == MultiPoly.zero(2)
 
 
 def test_fermat_chart2_worked_values():

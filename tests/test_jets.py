@@ -31,6 +31,8 @@ from jetcert.jets import (
 )
 from jetcert.polynomials import MultiPoly, evaluate_fraction
 
+from _util import reference_blocks
+
 FERMAT = PRESET_TRIPLES["fermat"]
 CASE72 = PRESET_TRIPLES["case72"]
 
@@ -182,25 +184,44 @@ def test_chart_monomial_shift_conventions():
 
 
 def test_expansion_slots_and_denominators():
-    space = AnsatzSpace.build(3, 3)
-    expansion = expand_ansatz(chart_data(FERMAT, 0), space)
+    """Each block is its summand ``alpha^(m-3w-k) * beta^k * L~_red^w`` over
+    the denominator ``a^(m-w-k) * b^(k+2w) * c^m * (u*v)^(m-2w)`` stated in
+    the ``JetExpansion`` docstring, times ``(u*v*a*b*c)^m``; checked by exact
+    evaluation at a rational point of ``(u, v, u1, v1, W)``."""
+    m = 3
+    space = AnsatzSpace.build(m, 3)
+    data = chart_data(FERMAT, 0)
+    expansion = expand_ansatz(data, space)
     assert expansion.slots() == [(0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0), (0, 0, 1)]
     assert set(expansion.blocks) == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)}
-    assert expansion.denominators == {
-        (0, 0): (3, 0, 3, 3),
-        (0, 1): (2, 1, 3, 3),
-        (0, 2): (1, 2, 3, 3),
-        (0, 3): (0, 3, 3, 3),
-        (1, 0): (2, 2, 3, 1),
-    }
     for slot_map in expansion.blocks.values():
         for (i, j, kk) in slot_map:
             assert i + j + 3 * kk == space.m
 
+    point = [Fraction(2), Fraction(-3), Fraction(5), Fraction(7), Fraction(1, 3)]
+    u, v, u1, v1, w_jet = point
+    wf = wronskian_form(data)
+    alpha, beta = (
+        evaluate_fraction(form.coefficient_map((4, 5))[(0, 0)], point[:4])
+        for form in (wf.forms.alpha, wf.forms.beta)
+    )
+    lam = evaluate_fraction(wf.reduced, point)
+    a, b, c = (evaluate_fraction(q, (u, v)) for q in (data.a, data.b, data.c))
+    for (w, k), slot_map in expansion.blocks.items():
+        value = sum(
+            evaluate_fraction(poly, (u, v)) * u1**i * v1**j * w_jet**kk
+            for (i, j, kk), poly in slot_map.items()
+        )
+        summand = alpha ** (m - 3 * w - k) * beta**k * lam**w / (
+            a ** (m - w - k) * b ** (k + 2 * w) * c**m * (u * v) ** (m - 2 * w)
+        )
+        assert value == summand * (u * v * a * b * c) ** m
+
 
 def test_reduced_blocks_match_full_elimination():
-    """The incremental reduced path equals per-block elimination of the
-    second-order jet variables, on several charts and configurations."""
+    """The expansion's product blocks equal the per-block elimination of the
+    second-order jet variables in ``full_block``, on several charts and
+    configurations."""
     cases = [
         (FERMAT, 0, 3, 3),
         (FERMAT, 2, 3, 3),
@@ -210,9 +231,17 @@ def test_reduced_blocks_match_full_elimination():
     for triple, chart, m, t in cases:
         data = chart_data(triple, chart)
         space = AnsatzSpace.build(m, t)
-        reduced = expand_ansatz(data, space, second_order="reduced")
-        full = expand_ansatz(data, space, second_order="full")
-        assert reduced.blocks == full.blocks
+        assert expand_ansatz(data, space).blocks == reference_blocks(data, space)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("chart", [0, 1, 2], ids=["z0", "z1", "z2"])
+def test_case72_blocks_match_full_elimination_weight_5(chart):
+    """``case72`` at ``(5, 4)`` mod 5, on every chart: two strata, ``w = 0``
+    with splits up to ``beta^5`` and ``w = 1`` with one Wronskian factor."""
+    data = chart_data(CASE72, chart, modulus=5)
+    space = AnsatzSpace.build(5, 4)
+    assert expand_ansatz(data, space).blocks == reference_blocks(data, space)
 
 
 @pytest.mark.parametrize(
@@ -246,12 +275,6 @@ def test_blocks_equal_the_literal_product(triple, chart, m, t):
             )
             assert blocks[(w, k)] == product.coefficient_map((2, 3, 4))
     assert set(blocks) == expected_keys
-
-
-def test_expand_rejects_unknown_mode():
-    space = AnsatzSpace.build(3, 3)
-    with pytest.raises(ValueError):
-        expand_ansatz(chart_data(FERMAT, 0), space, second_order="fast")
 
 
 def test_obstruction_rows_frozen_shape():

@@ -70,26 +70,6 @@ def test_canonical_form_drops_zeros_and_reduces():
     assert g.is_zero
 
 
-def test_exact_div_round_trip_random_gf5():
-    rng = random.Random(20260816)
-    divisor = MultiPoly(2, {(0, 0): 2, (2, 0): 1, (0, 2): 1}, modulus=5)
-    for _ in range(50):
-        q = random_poly(rng, 2, max_degree=5, n_terms=8, modulus=5)
-        product = divisor * q
-        if product.is_zero:
-            assert q.is_zero
-            continue
-        assert exact_div(product, divisor) == q
-
-
-def test_exact_div_round_trip_random_integer():
-    rng = random.Random(97)
-    divisor = MultiPoly(3, {(0, 0, 0): 2, (2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 1): -3})
-    for _ in range(50):
-        q = random_poly(rng, 3, max_degree=3, n_terms=5)
-        assert exact_div(divisor * q, divisor) == q
-
-
 def test_exact_div_failure_attaches_remainder():
     x = MultiPoly.variable(2, 0, modulus=5)
     y = MultiPoly.variable(2, 1, modulus=5)
@@ -101,6 +81,34 @@ def test_exact_div_failure_attaches_remainder():
     assert remainder == y
     # f - remainder is exactly divisible.
     assert exact_div(f - remainder, x) == x
+
+
+def test_exact_div_rejects_multi_term_divisor():
+    x = MultiPoly.variable(2, 0, modulus=5)
+    y = MultiPoly.variable(2, 1, modulus=5)
+    with pytest.raises(ValueError):
+        exact_div(x * y, x + y)
+    with pytest.raises(ValueError):
+        exact_div(MultiPoly(2, {(2, 0): 4}), MultiPoly(2, {(1, 0): 2, (0, 0): 1}))
+
+
+def test_exact_div_rejects_zero_divisor():
+    x = MultiPoly.variable(2, 0, modulus=5)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(x, MultiPoly.zero(2, modulus=5))
+
+
+def test_exact_div_by_scaled_monomial():
+    f = MultiPoly(2, {(3, 1): 6, (1, 2): -4})
+    assert exact_div(f, MultiPoly(2, {(1, 1): 2})) == MultiPoly(2, {(2, 0): 3, (0, 1): -2})
+    # Over ZZ a coefficient that is not a multiple is a remainder.
+    with pytest.raises(NonDivisible) as excinfo:
+        exact_div(f, MultiPoly(2, {(1, 1): 4}))
+    assert excinfo.value.remainder == MultiPoly(2, {(3, 1): 6})
+    g = MultiPoly(2, {(2, 2): 3, (1, 3): 1}, modulus=5)
+    assert exact_div(g, MultiPoly(2, {(1, 2): 2}, modulus=5)) == MultiPoly(
+        2, {(1, 0): 4, (0, 1): 3}, modulus=5
+    )
 
 
 def test_obstruction_worked_example():
