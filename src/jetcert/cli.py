@@ -26,7 +26,7 @@ import json
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -78,13 +78,17 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class VanishingVerdict:
-    """Machine-readable outcome of one verification run."""
+    """Machine-readable outcome of one verification run.
+
+    ``work`` holds deterministic work counts, such as the rows admitted to
+    elimination; unlike ``timings`` they repeat exactly between runs."""
 
     params: dict
     counts: dict
     result: dict
     checksum: str
     timings: dict
+    work: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -94,6 +98,7 @@ class VanishingVerdict:
             "result": self.result,
             "checksum": self.checksum,
             "timings": self.timings,
+            "work": self.work,
         }
 
     @property
@@ -241,6 +246,7 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
         },
         checksum=sms_checksum(system),
         timings=timings,
+        work={"rows_admitted": outcome.rows_admitted},
     )
     if cfg.export_matrix:
         write_sms(system, cfg.export_matrix)

@@ -7,6 +7,26 @@ broken by column index), and within it the row with the fewest entries
 (ties broken by row index).  The rule is fully deterministic, so rank,
 nullity and the emitted nullspace basis are reproducible bit-for-bit.
 
+Rows are admitted on demand, because the obstruction systems carry two to
+three times more rows than unknowns and reducing the surplus to zero was
+most of the work:
+
+1. the ``n_vars`` sparsest rows (ties by row index) are eliminated first;
+2. while the rank is below ``n_vars``, the next batch is the unadmitted
+   rows that touch a still-free column, sparsest first, as many as there
+   are free columns (twice the last batch if that one gained no rank);
+3. once no unadmitted row touches a free column, all the rest come in;
+4. an admitted row is reduced against the frozen pivot log in log order,
+   and the batch's nonzero residues are eliminated by the same pivot rule.
+
+One pass in step 4 suffices, and the log stays valid for back-substitution,
+because every frozen pivot row is clear of all earlier pivot columns.
+Elimination stops at rank ``n_vars``.  This is sound: any subset of the rows
+is a set of necessary conditions, so full rank on a subset certifies the
+whole system, and a rank below ``n_vars`` is only ever reported after every
+row was admitted.  The reported rank is therefore always the rank of the
+full system.
+
 Everything is exact arithmetic in the prime field; there is no rounding
 and therefore no tolerance anywhere in this module.  A dense textbook
 elimination is provided as an independent oracle for small systems.
@@ -17,7 +37,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .linsys import LinearSystem
+from .linsys import LinearSystem, Row
+
+# One entry per rank: (pivot column, source row index, frozen pivot row).
+PivotLog = list[tuple[int, int, dict[int, int]]]
 
 
 def is_prime(n: int) -> bool:
@@ -47,11 +70,15 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class EliminationResult:
+    """Outcome of one elimination; ``rows_admitted`` counts the rows that
+    took part, which is ``len(system.rows)`` whenever the nullity is above 0."""
+
     prime: int
     n_vars: int
     rank: int
     nullity: int
     pivots: tuple[tuple[int, int], ...]
+    rows_admitted: int
     basis: tuple[dict[int, int], ...] | None = None
 
 
@@ -60,30 +87,54 @@ def _check_system(system: LinearSystem) -> None:
         raise ValueError(f"modulus {system.prime} is not prime")
 
 
-def _active_rows(system: LinearSystem) -> tuple[list[dict[int, int]], dict[int, set[int]]]:
-    rows: list[dict[int, int]] = []
-    columns: dict[int, set[int]] = {}
-    for r, row in enumerate(system.rows):
-        entries = {col: coeff % system.prime for col, coeff in row}
-        entries = {col: coeff for col, coeff in entries.items() if coeff}
-        rows.append(entries)
-        for col in entries:
-            columns.setdefault(col, set()).add(r)
-    return rows, columns
+def _reduce(entries: Row, p: int, pivot_log: PivotLog,
+            position: dict[int, int]) -> dict[int, int]:
+    """The residue of one source row against the frozen pivot log.
 
-
-def _eliminate(system: LinearSystem) -> list[tuple[int, int, dict[int, int]]]:
-    """Forward elimination; returns the pivot log, one entry per rank.
-
-    Each log entry is ``(col, row_index, frozen_row)`` where ``frozen_row``
-    is the pivot row at the moment it was used, normalized to pivot 1 and
-    already clear of all earlier pivot columns.
+    Pivots are applied in log order, driven by a heap of the log positions
+    of the row's pivot columns.  A frozen row is clear of every earlier
+    pivot column, so applying it brings in only later ones and one pass
+    clears them all.
     """
-    p = system.prime
-    rows, columns = _active_rows(system)
+    row = {}
+    for col, coeff in entries:
+        coeff %= p
+        if coeff:
+            row[col] = coeff
+    heap = [position[c] for c in row if c in position]
+    heapq.heapify(heap)
+    while heap:
+        col, _, pivot = pivot_log[heapq.heappop(heap)]
+        factor = row.get(col)
+        if factor is None:
+            continue
+        neg = p - factor
+        for c, pc in pivot.items():
+            old = row.get(c)
+            if old is None:
+                row[c] = neg * pc % p
+                pos = position.get(c)
+                if pos is not None:
+                    heapq.heappush(heap, pos)
+            else:
+                val = (old + neg * pc) % p
+                if val:
+                    row[c] = val
+                else:
+                    del row[c]
+    return row
+
+
+def _markowitz(rows: dict[int, dict[int, int]], p: int, pivot_log: PivotLog,
+               position: dict[int, int]) -> None:
+    """Eliminate ``rows`` (source row id -> residue) to zero, appending one
+    frozen pivot row to ``pivot_log`` per rank gained."""
+    columns: dict[int, set[int]] = {}
+    for rid, row in rows.items():
+        for col in row:
+            columns.setdefault(col, set()).add(rid)
     heap: list[tuple[int, int]] = [(len(rids), col) for col, rids in columns.items()]
     heapq.heapify(heap)
-    pivot_log: list[tuple[int, int, dict[int, int]]] = []
     while heap:
         count, col = heapq.heappop(heap)
         rids = columns.get(col)
@@ -93,7 +144,7 @@ def _eliminate(system: LinearSystem) -> list[tuple[int, int, dict[int, int]]]:
             heapq.heappush(heap, (len(rids), col))
             continue
         pivot_row_id = min(rids, key=lambda r: (len(rows[r]), r))
-        pivot = rows[pivot_row_id]
+        pivot = rows.pop(pivot_row_id)
         inv = pow(pivot[col], p - 2, p)
         if inv != 1:
             for c in pivot:
@@ -101,20 +152,23 @@ def _eliminate(system: LinearSystem) -> list[tuple[int, int, dict[int, int]]]:
         # Retire the pivot row from the active indices.
         for c in pivot:
             columns[c].discard(pivot_row_id)
-        targets = sorted(rids - {pivot_row_id})
+        targets = sorted(rids)
         rids.clear()
         touched: set[int] = set()
         for rid in targets:
             row = rows[rid]
-            factor = row[col]
+            neg = p - row[col]
             for c, pc in pivot.items():
-                val = (row.get(c, 0) - factor * pc) % p
+                old = row.get(c)
+                if old is None:
+                    row[c] = neg * pc % p
+                    columns.setdefault(c, set()).add(rid)
+                    touched.add(c)
+                    continue
+                val = (old + neg * pc) % p
                 if val:
-                    if c not in row:
-                        columns.setdefault(c, set()).add(rid)
-                        touched.add(c)
                     row[c] = val
-                elif c in row:
+                else:
                     del row[c]
                     columns[c].discard(rid)
                     touched.add(c)
@@ -122,15 +176,75 @@ def _eliminate(system: LinearSystem) -> list[tuple[int, int, dict[int, int]]]:
         for c in touched:
             if columns.get(c):
                 heapq.heappush(heap, (len(columns[c]), c))
+        position[col] = len(pivot_log)
         pivot_log.append((col, pivot_row_id, pivot))
-        rows[pivot_row_id] = {}
-    return pivot_log
+
+
+def _eliminate(system: LinearSystem) -> tuple[PivotLog, int]:
+    """Forward elimination with rows admitted on demand.
+
+    Returns the pivot log, one entry per rank, and the number of rows
+    admitted.  Each log entry is ``(col, row_index, frozen_row)`` where
+    ``frozen_row`` is the pivot row at the moment it was used, normalized
+    to pivot 1 and clear of all earlier pivot columns.
+    """
+    p = system.prime
+    n = system.n_vars
+    source = system.rows
+    order = sorted(range(len(source)), key=lambda r: (len(source[r]), r))
+    # Unadmitted rows are candidates while they touch a free column and
+    # dormant after; the free columns only shrink, so a dormant row stays so.
+    batch, candidates, dormant = order[:n], order[n:], []
+    admitted = 0
+    pivot_log: PivotLog = []
+    position: dict[int, int] = {}  # pivot column -> its index in the log
+    while True:
+        admitted += len(batch)
+        rank_before = len(pivot_log)
+        residues = {}
+        for rid in batch:
+            row = _reduce(source[rid], p, pivot_log, position)
+            if row:
+                residues[rid] = row
+        _markowitz(residues, p, pivot_log, position)
+        if len(pivot_log) == n or not (candidates or dormant):
+            break
+        free = set(range(n)).difference(position)
+        touching = []
+        for rid in candidates:
+            if any(c in free for c, _ in source[rid]):
+                touching.append(rid)
+            else:
+                dormant.append(rid)
+        if not touching:
+            batch, candidates, dormant = dormant, [], []
+            continue
+        # A batch that gained no rank doubles the next one, so that a
+        # deficient system whose free columns every row touches does not
+        # admit its rows a few at a time.
+        size = len(free)
+        if len(pivot_log) == rank_before:
+            size = max(size, 2 * len(batch))
+        batch, candidates = touching[:size], touching[size:]
+    # Soundness: the rank is that of the whole system only if it is full or
+    # every row took part.  Raised, not asserted, so that ``-O`` keeps it.
+    if len(pivot_log) != n and (candidates or dormant):
+        raise AssertionError("elimination stopped short of full rank with rows left")
+    return pivot_log, admitted
 
 
 def rank_nullity(system: LinearSystem) -> EliminationResult:
-    """Rank and nullity of the system over GF(p)."""
+    """Rank and nullity of the system over GF(p).
+
+    Rows are admitted on demand (see the module docstring): a full-rank
+    system usually stops before all rows are read, a deficient one always
+    reads them all, so the rank is that of the whole system either way.
+    ``pivots`` lists ``(column, row index)`` pairs; the row indices point
+    into ``system.rows`` and, at full rank, name ``n_vars`` rows that alone
+    have full rank.
+    """
     _check_system(system)
-    pivot_log = _eliminate(system)
+    pivot_log, admitted = _eliminate(system)
     rank = len(pivot_log)
     return EliminationResult(
         prime=system.prime,
@@ -138,6 +252,7 @@ def rank_nullity(system: LinearSystem) -> EliminationResult:
         rank=rank,
         nullity=system.n_vars - rank,
         pivots=tuple((col, rid) for col, rid, _ in pivot_log),
+        rows_admitted=admitted,
     )
 
 
@@ -147,7 +262,11 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     One basis vector per free column, with a 1 in that column; pivot
     coordinates are recovered by back-substitution through the pivot log
     in reverse order (each frozen pivot row is clear of earlier pivot
-    columns, so a single reverse pass suffices).
+    columns, so a single reverse pass suffices, for rows of every
+    admission batch alike).  A nonzero nullity is reached only after every
+    row was admitted, and each row's residue then lies in the span of the
+    pivot rows, so every basis vector is annihilated by every row of the
+    system, not only by the pivot rows.
 
     ``workers`` is ignored: elimination is always serial.  The keyword is
     kept only because the benchmark's traced replay
@@ -155,7 +274,7 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     """
     _check_system(system)
     p = system.prime
-    pivot_log = _eliminate(system)
+    pivot_log, admitted = _eliminate(system)
     rank = len(pivot_log)
     pivot_cols = {col for col, _, _ in pivot_log}
     free_cols = [c for c in range(system.n_vars) if c not in pivot_cols]
@@ -176,6 +295,7 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
         rank=rank,
         nullity=system.n_vars - rank,
         pivots=tuple((col, rid) for col, rid, _ in pivot_log),
+        rows_admitted=admitted,
         basis=tuple(basis),
     )
     assert result.nullity == len(basis)

@@ -297,30 +297,6 @@ class JetExpansion:
             for i in range(m - 3 * k + 1)
         ]
 
-    def materialize_numerator(self, slot: tuple[int, int, int]) -> MultiPoly:
-        """The cleared numerator's jet-slot coefficient as a polynomial in
-        ``(u, v, unknown_0, ..., unknown_{n-1})`` — degree exactly one in each
-        unknown that appears.  Intended for small instances and tests."""
-        n = self.space.n_vars
-        total = MultiPoly.zero(2 + n, self.modulus)
-        for (w, k), slot_map in self.blocks.items():
-            poly = slot_map.get(slot)
-            if poly is None or poly.is_zero:
-                continue
-            degree = dict(self.space.strata)[w]
-            for exps in self.space.stratum_monomials(degree):
-                col = self.space.index[AnsatzIndex(w, k, exps)]
-                eu, ev = chart_monomial_shift(self.chart, exps)
-                terms = {}
-                for (su, sv), coeff in poly.terms.items():
-                    key = [0] * (2 + n)
-                    key[0] = su + eu
-                    key[1] = sv + ev
-                    key[2 + col] = 1
-                    terms[tuple(key)] = coeff
-                total = total + MultiPoly(2 + n, terms, self.modulus)
-        return total
-
 
 def _powers(base: MultiPoly, top: int) -> list[MultiPoly]:
     out = [MultiPoly.constant(base.arity, 1, base.modulus)]

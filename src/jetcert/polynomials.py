@@ -14,10 +14,10 @@ Design points:
 * Division is by a monomial only: :func:`exact_div` takes a single-term
   divisor and divides term by term.  The jet pipeline divides by powers of
   one jet variable and never needs general polynomial division.
-* The monomial order used for canonical iteration, leading terms and text
-  rendering is graded lexicographic with the fixed variable order of the
-  exponent tuples (higher total degree first, then lexicographically larger
-  exponent tuple first).
+* The monomial order used for canonical iteration and text rendering is
+  graded lexicographic with the fixed variable order of the exponent tuples
+  (higher total degree first, then lexicographically larger exponent tuple
+  first).
 * There is deliberately no rational-function type: denominators in the jet
   pipeline are tracked as explicit exponent bookkeeping by the callers.
 """
@@ -368,13 +368,6 @@ class MultiPoly:
         degrees = {sum(e) for e in self.terms}
         return len(degrees) <= 1
 
-    def leading_term(self) -> tuple[tuple[int, ...], int]:
-        """Greatest term in the graded-lexicographic order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=glex_key)
-        return exps, self.terms[exps]
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in canonical (descending graded-lexicographic) order."""
         return sorted(self.terms.items(), key=lambda t: glex_key(t[0]), reverse=True)
@@ -492,21 +485,6 @@ def obstruction(
         if exps[var_a] < bound_a or exps[var_b] < bound_b
     }
     return MultiPoly._make(f.arity, out, f.modulus)
-
-
-def coefficient_of(
-    f: MultiPoly, variables: tuple[int, ...], exponents: tuple[int, ...]
-) -> MultiPoly:
-    """Coefficient of the stated exponent pattern on ``variables``, as a
-    polynomial in the remaining variables (original order)."""
-    if len(variables) != len(exponents):
-        raise ValueError("variables and exponents must align")
-    grouped = f.coefficient_map(variables)
-    found = grouped.get(tuple(exponents))
-    if found is not None:
-        return found
-    keep = f.arity - len(variables)
-    return MultiPoly.zero(keep, f.modulus)
 
 
 def evaluate_fraction(f: MultiPoly, values: Iterable[Fraction]) -> Fraction:

@@ -86,7 +86,9 @@ def test_dimension_counts_for_weight_three_divisibility():
 # -- vanishing certifications --------------------------------------------------------
 
 GATING_PAIRS = [(3, 3), (4, 3), (4, 4), (5, 4), (5, 5)]
-EXTENDED_PAIRS = [(6, 5), (6, 6), (7, 5), (7, 7), (8, 6)]
+EXTENDED_PAIRS = [(6, 5), (6, 6), (7, 5), (7, 7), (8, 6), (9, 7), (10, 7)]
+# Rows the staged elimination admits before reaching full rank.
+ROWS_ADMITTED = {(3, 3): 136, (4, 3): 406, (4, 4): 323, (5, 4): 870, (5, 5): 736}
 
 
 @pytest.mark.parametrize("m,t", GATING_PAIRS)
@@ -97,6 +99,7 @@ def test_gating_certification(m, t):
     elapsed = time.perf_counter() - start
     assert outcome.nullity == 0
     assert outcome.rank == system.n_vars
+    assert outcome.rows_admitted == ROWS_ADMITTED[(m, t)] < system.n_rows
     assert elapsed < 120.0
     # Cross-check against the dense elimination oracle on every system
     # small enough for it.

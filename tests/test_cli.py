@@ -164,8 +164,9 @@ def test_report_structure(capsys, tmp_path):
     run_json(capsys, "verify", "--m", "3", "--t", "3", "--report", str(path))
     payload = json.loads(path.read_text())
     assert set(payload) == {
-        "version", "params", "counts", "result", "checksum", "timings",
+        "version", "params", "counts", "result", "checksum", "timings", "work",
     }
+    assert payload["work"] == {"rows_admitted": 136}
     assert set(payload["counts"]) == {"n_vars", "n_rows_raw", "n_rows_dedup"}
     assert set(payload["result"]) == {"rank", "nullity", "verdict"}
     assert {"assemble_s", "eliminate_s", "max_rss_mb"} <= set(payload["timings"])

@@ -147,3 +147,94 @@ def test_alternate_prime_certifies_small_instance():
     system = assemble(FERMAT, 3, 3, 7)
     result = rank_nullity(system)
     assert (result.rank, result.nullity) == (113, 0)
+
+
+# -- staged row admission --------------------------------------------------------------
+
+
+def test_late_dense_row_completes_the_rank():
+    """The ``n_vars`` sparsest rows miss column 5 and the only row that
+    carries it is the densest: admission must reach it and stop there."""
+    rows = [((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),),
+            ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (3, 1)),
+            tuple((c, 1) for c in range(6))]
+    system = LinearSystem(prime=5, n_vars=6, rows=tuple(rows))
+    result = rank_nullity(system)
+    assert (result.rank, result.nullity) == (6, 0)
+    assert result.rows_admitted == 7
+    assert (5, 8) in result.pivots
+
+
+def test_row_that_touches_no_free_column_can_complete_the_rank():
+    """Row 3 touches only pivot columns, yet its residue carries the free
+    column 1; it is admitted once no row touches a free column."""
+    rows = (((0, 1), (1, 1)), ((0, 2), (1, 2)), ((2, 1),), ((0, 1), (2, 1)))
+    system = LinearSystem(prime=5, n_vars=3, rows=rows)
+    result = rank_nullity(system)
+    assert (result.rank, result.nullity) == (3, 0)
+    assert result.rows_admitted == 4
+
+
+def _planted_kernel_system(rng, n_vars, n_rows, prime, pairs):
+    """Random rows with equal coefficients on both columns of each planted
+    pair ``(a, b)``, so that every ``e_a - e_b`` lies in the kernel."""
+    cols = rng.sample(range(n_vars), 2 * pairs)
+    twins = list(zip(cols[::2], cols[1::2]))
+    rows = []
+    for _ in range(n_rows):
+        picked = rng.sample(range(n_vars), rng.randint(1, min(6, n_vars)))
+        row = {c: rng.randint(1, prime - 1) for c in picked}
+        for a, b in twins:
+            if a in row or b in row:
+                row[a] = row[b] = row.get(a, row.get(b))
+        rows.append(tuple(sorted(row.items())))
+    return LinearSystem(prime=prime, n_vars=n_vars, rows=tuple(rows))
+
+
+@pytest.mark.parametrize("prime", [5, 7])
+def test_staged_admission_matches_dense_oracle(prime):
+    """Over- and under-determined, full-rank and deficient systems: the rank
+    is the dense oracle's, and a nonzero nullity reads every row."""
+    rng = random.Random(6000 + prime)
+    shapes = set()
+    for trial in range(60):
+        n_vars = rng.randint(6, 50)
+        n_rows = rng.choice([rng.randint(0, n_vars), rng.randint(n_vars + 1, 4 * n_vars)])
+        if trial % 3 == 2:
+            system = _planted_kernel_system(rng, n_vars, n_rows, prime, rng.randint(1, 3))
+        else:
+            system = _random_system(rng, n_vars, n_rows, prime)
+        result = rank_nullity(system)
+        assert (result.rank, result.nullity) == dense_rank_nullity(system)
+        assert result.rows_admitted <= system.n_rows
+        if result.nullity:
+            assert result.rows_admitted == system.n_rows
+        shapes.add((system.n_rows > system.n_vars, result.nullity == 0))
+    # An under-determined system is always deficient; a square one may not be.
+    assert {(True, True), (True, False), (False, False)} <= shapes
+
+
+def test_fermat_4_3_certifies_from_a_row_subset():
+    system = assemble(FERMAT, 4, 3, 5)
+    result = rank_nullity(system)
+    assert (result.rank, result.nullity) == dense_rank_nullity(system) == (295, 0)
+    assert result.rows_admitted == 406 < system.n_rows == 633
+
+
+@pytest.mark.parametrize("which", ["fermat-3-0", "planted"])
+def test_basis_is_annihilated_by_every_row(which):
+    """Back-substitution through a log built from several admission batches
+    gives vectors that every row of the system annihilates."""
+    if which == "fermat-3-0":
+        system = assemble(FERMAT, 3, 0, 5)
+    else:
+        system = _planted_kernel_system(random.Random(41), 40, 160, 5, 2)
+    result = nullspace_basis(system)
+    assert result.nullity > 0
+    assert result.rows_admitted == system.n_rows
+    assert len(result.basis) == result.nullity
+    for vector in result.basis:
+        assert all(
+            sum(coeff * vector.get(col, 0) for col, coeff in row) % system.prime == 0
+            for row in system.rows
+        )

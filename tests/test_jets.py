@@ -313,32 +313,6 @@ def test_integer_rows_match_modular_rows():
     assert obstruction_rows(over_z, 5) == obstruction_rows(over_gf, 5)
 
 
-def test_materialized_numerator_is_linear_and_consistent():
-    """materialize_numerator must be degree one in every unknown, and its
-    monomial coefficients must reproduce the obstruction rows."""
-    space = AnsatzSpace.build(3, 3)
-    expansion = expand_ansatz(chart_data(FERMAT, 0), space)
-    slot = (0, 3, 0)
-    numerator = expansion.materialize_numerator(slot)
-    n = space.n_vars
-    for exps in numerator.terms:
-        assert sum(exps[2:]) == 1
-    # Extract the coefficient of u^0 * v^3 and compare with the first row.
-    groups = numerator.coefficient_map((0, 1))
-    linear_form = groups[(0, 3)]
-    bucket = {}
-    for exps, coeff in linear_form.terms.items():
-        (col,) = [i for i, e in enumerate(exps) if e]
-        bucket[col] = coeff % 5
-    lead_col = min(bucket)
-    inv = pow(bucket[lead_col], 3, 5)
-    normalized = tuple(
-        (col, bucket[col] * inv % 5) for col in sorted(bucket) if bucket[col]
-    )
-    assert normalized == ((27, 1), (55, 4), (83, 1), (111, 4))
-    assert n == 113
-
-
 def test_wronskian_vector_annihilates_every_chart():
     space = AnsatzSpace.build(3, 0)
     vector = wronskian_solution_vector(space)

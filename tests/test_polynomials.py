@@ -12,7 +12,6 @@ from jetcert.polynomials import (
     MultiPoly,
     NonDivisible,
     RingMismatch,
-    coefficient_of,
     exact_div,
     glex_key,
     obstruction,
@@ -133,15 +132,6 @@ def test_obstruction_idempotent_and_complement_divisible():
         assert monomial * quotient == cleared
 
 
-def test_coefficient_of_worked_example():
-    # Variables (x, x1, W); f = (2 + x) * x1^2 * W + x1.
-    f = MultiPoly(3, {(0, 2, 1): 2, (1, 2, 1): 1, (0, 1, 0): 1})
-    got = coefficient_of(f, (1, 2), (2, 1))
-    assert got == MultiPoly(1, {(0,): 2, (1,): 1})
-    # Absent pattern yields the zero polynomial in the remaining variables.
-    assert coefficient_of(f, (1, 2), (9, 9)).is_zero
-
-
 def test_reduction_is_ring_homomorphism_random():
     rng = random.Random(11)
     p = 5
@@ -230,7 +220,6 @@ def test_glex_leading_term_and_rendering():
     f = MultiPoly(3, {(1, 1, 1): 32})
     assert f.to_str(("Z0", "Z1", "Z2")) == "32*Z0*Z1*Z2"
     g = MultiPoly(2, {(2, 0): 1, (1, 1): -2, (0, 0): 1})
-    assert g.leading_term() == ((2, 0), 1)
     assert g.to_str(("x", "y")) == "x^2 - 2*x*y + 1"
     assert glex_key((2, 0)) > glex_key((1, 1)) or (2, 0) > (1, 1)
     assert MultiPoly.zero(2).to_str(("x", "y")) == "0"
