@@ -4,7 +4,7 @@ and numeric-threshold calculators.
 
 The certification pipeline is:
 
-``conics`` (configuration geometry and genericity checks)
+``conics`` (configuration geometry and the simple-normal-crossings test)
 -> ``jets`` (invariant log-frame expansion and divisibility obstruction rows)
 -> ``linsys`` (deterministic sparse linear system assembly and SMS export)
 -> ``gflinalg`` (exact GF(p) elimination: rank, nullity, nullspace)

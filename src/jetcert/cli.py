@@ -10,10 +10,11 @@ thresholds     print the exact threshold report (optionally with tau data)
 enumerate      list the weight/twist pairs needing explicit certificates
 tower          print the quartic pairing table and the degree-4 identity check
 
-Bad input, including a singular or repeated conic or a prime modulo which a
-conic is singular, exits 2 with a one-line reason.  Any other exception is
-reported on one stderr line as ``error: internal: <Type>: <message>`` with
-exit code 4, so that a crash is never mistaken for a verdict.
+Bad input, including a singular or repeated conic, two tangent conics, three
+conics through one point, or a prime modulo which a conic is singular, exits 2
+with a one-line reason.  Any other exception is reported on one stderr line as
+``error: internal: <Type>: <message>`` with exit code 4, so that a crash is
+never mistaken for a verdict.
 
 Reports are JSON with sorted keys and are byte-deterministic for a fixed
 configuration except for the ``timings`` block.
@@ -28,6 +29,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from . import __version__
 from .conics import (
@@ -37,9 +39,12 @@ from .conics import (
     DegenerateConic,
     is_coordinate_triangle,
     jacobian_cubic,
+    pencil_discriminant,
+    salmon_determinant,
 )
 from .gflinalg import is_prime, rank_nullity
 from .linsys import IoFailure, LinearSystem, assemble, sms_checksum, write_sms
+from .polynomials import MultiPoly
 from .thresholds import (
     ConstantTooSmall,
     DegenerateTotalDegree,
@@ -160,32 +165,45 @@ def load_conics(source: str) -> ConicTriple:
     return ConicTriple(*conics)
 
 
-def check_configuration(triple: ConicTriple, prime: int) -> None:
-    """Reject a triple the certifier cannot read soundly: a singular conic,
-    two conics equal up to scale, or a prime modulo which some conic is
-    singular (the chart reduction degenerates there; always so at p = 2)."""
+def check_configuration(triple: ConicTriple, prime: int) -> MultiPoly:
+    """Reject a triple the certifier cannot read soundly, and return its
+    Jacobian cubic.
+
+    Rejected, in this order: a singular conic; two conics equal up to scale;
+    two tangent conics or a point on all three, either of which breaks the
+    simple normal crossings that carry the certificate to the generic
+    triple; a prime modulo which some conic is singular (the chart reduction
+    degenerates there; always so at p = 2)."""
     conics = triple.conics()
     for pos, conic in enumerate(conics, start=1):
         if not conic.is_smooth():
             raise ConfigError(f"conic {pos} {conic.coefficients} is singular")
     canonical = [conic.canonical() for conic in conics]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if canonical[i] == canonical[j]:
-                raise ConfigError(f"conics {i + 1} and {j + 1} are equal up to scale")
+    pairs = list(combinations(range(3), 2))
+    for i, j in pairs:
+        if canonical[i] == canonical[j]:
+            raise ConfigError(f"conics {i + 1} and {j + 1} are equal up to scale")
+    for i, j in pairs:
+        if pencil_discriminant(conics[i], conics[j]) == 0:
+            raise ConfigError(f"conics {i + 1} and {j + 1} are tangent")
+    jacobian = jacobian_cubic(triple)
+    if salmon_determinant(triple, jacobian) == 0:
+        raise ConfigError("the three conics share a point")
     for pos, conic in enumerate(conics, start=1):
         if conic.determinant() % prime == 0:
             raise ConfigError(
                 f"conic {pos} {conic.coefficients} is singular mod {prime}; "
                 "choose another prime"
             )
+    return jacobian
 
 
 def _assemble_checked(
     cfg: RunConfig, min_charts: int
-) -> tuple[ConicTriple, LinearSystem]:
+) -> tuple[MultiPoly, LinearSystem]:
     """Validate the input shared by ``verify`` and ``export-matrix``, load
-    and check the conics, and assemble the system on ``cfg.charts``."""
+    and check the conics, and assemble the system on ``cfg.charts``.
+    Returns the triple's Jacobian cubic and the system."""
     if cfg.m is None or cfg.t is None:
         raise ConfigError(f"{cfg.command} requires --m and --t")
     if cfg.m < 1 or cfg.t < 0:
@@ -196,17 +214,16 @@ def _assemble_checked(
         need = "one chart" if min_charts == 1 else "two charts to cover the surface"
         raise ConfigError(f"{cfg.command} needs at least {need}")
     triple = load_conics(cfg.conics)
-    check_configuration(triple, cfg.prime)
-    return triple, assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
+    jacobian = check_configuration(triple, cfg.prime)
+    return jacobian, assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
 
 
 def run_verify(cfg: RunConfig) -> VanishingVerdict:
     """Assemble, eliminate, and classify; see the exit-code contract above."""
     timings: dict[str, float] = {}
     start = time.perf_counter()
-    triple, system = _assemble_checked(cfg, 2)
+    jacobian, system = _assemble_checked(cfg, 2)
     timings["assemble_s"] = round(time.perf_counter() - start, 6)
-    jacobian = jacobian_cubic(triple)
 
     start = time.perf_counter()
     outcome = rank_nullity(system)
@@ -276,6 +293,8 @@ def run_export(cfg: RunConfig) -> dict:
 def run_thresholds(cfg: RunConfig) -> dict:
     if cfg.digits < 1:
         raise ConfigError(f"--digits must be at least 1, got {cfg.digits}")
+    if (cfg.m is None) != (cfg.t is None):
+        raise ConfigError("thresholds needs both --m and --t for the tau pair")
     try:
         report = build_threshold_report(degrees=cfg.degrees, m=cfg.m, t=cfg.t)
     except (DegenerateTotalDegree, ValueError) as exc:

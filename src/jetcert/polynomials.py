@@ -14,10 +14,6 @@ Design points:
 * Division is by a monomial only: :func:`exact_div` takes a single-term
   divisor and divides term by term.  The jet pipeline divides by powers of
   one jet variable and never needs general polynomial division.
-* The monomial order used for canonical iteration and text rendering is
-  graded lexicographic with the fixed variable order of the exponent tuples
-  (higher total degree first, then lexicographically larger exponent tuple
-  first).
 * There is deliberately no rational-function type: denominators in the jet
   pipeline are tracked as explicit exponent bookkeeping by the callers.
 """
@@ -41,11 +37,6 @@ class NonDivisible(Exception):
     def __init__(self, message: str, remainder: "MultiPoly | None" = None):
         super().__init__(message)
         self.remainder = remainder
-
-
-def glex_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Sort key realizing the graded-lexicographic order (ascending)."""
-    return (sum(exponents), exponents)
 
 
 class MultiPoly:
@@ -245,7 +236,7 @@ class MultiPoly:
                 base = base * base
         return result
 
-    # -- calculus and substitution ----------------------------------------------
+    # -- calculus ---------------------------------------------------------------
 
     def deriv(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to variable ``var``."""
@@ -265,29 +256,6 @@ class MultiPoly:
             key = exps[:var] + (e - 1,) + exps[var + 1 :]
             out[key] = out.get(key, 0) + c  # distinct keys: no collision possible
         return MultiPoly._make(self.arity, out, p)
-
-    def substitute(self, var: int, value: "MultiPoly") -> "MultiPoly":
-        """Substitute polynomial ``value`` (same arity/ring) for variable ``var``."""
-        self._check_compatible(value)
-        if not 0 <= var < self.arity:
-            raise ValueError(f"variable index {var} out of range")
-        # Horner on the coefficients of var^k, highest power first.
-        by_power: dict[int, dict[tuple[int, ...], int]] = {}
-        for exps, coeff in self.terms.items():
-            k = exps[var]
-            key = exps[:var] + (0,) + exps[var + 1 :]
-            by_power.setdefault(k, {})[key] = coeff
-        if not by_power:
-            return MultiPoly.zero(self.arity, self.modulus)
-        powers = sorted(by_power, reverse=True)
-        result = MultiPoly._make(self.arity, by_power[powers[0]], self.modulus)
-        for prev, k in zip(powers, powers[1:]):
-            for _ in range(prev - k):
-                result = result * value
-            result = result + MultiPoly._make(self.arity, by_power[k], self.modulus)
-        for _ in range(powers[-1]):
-            result = result * value
-        return result
 
     def dehomogenize(self, var: int) -> "MultiPoly":
         """Set variable ``var`` to 1 and drop it, lowering the arity by one."""
@@ -364,14 +332,6 @@ class MultiPoly:
             return -1
         return max(e[var] for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in canonical (descending graded-lexicographic) order."""
-        return sorted(self.terms.items(), key=lambda t: glex_key(t[0]), reverse=True)
-
     def coefficient_map(
         self, variables: tuple[int, ...]
     ) -> dict[tuple[int, ...], "MultiPoly"]:
@@ -393,37 +353,6 @@ class MultiPoly:
             pattern: MultiPoly._make(len(keep), terms, self.modulus)
             for pattern, terms in out.items()
         }
-
-    # -- rendering ---------------------------------------------------------------
-
-    def to_str(self, names: tuple[str, ...] | list[str]) -> str:
-        """Canonical text rendering, e.g. ``32*Z0*Z1*Z2 - x^2 + 1``."""
-        if len(names) != self.arity:
-            raise ValueError("need one name per variable")
-        if not self.terms:
-            return "0"
-        pieces: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if factors:
-                body = "*".join(factors)
-                if mag != 1:
-                    body = f"{mag}*{body}"
-            else:
-                body = str(mag)
-            if not pieces:
-                pieces.append(body if sign == "+" else f"-{body}")
-            else:
-                pieces.append(f"{sign} {body}")
-        return " ".join(pieces)
-
 
 # -- free functions mirroring the public contract --------------------------------
 
@@ -464,27 +393,6 @@ def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         rem_poly = MultiPoly._make(f.arity, remainder, p)
         raise NonDivisible("polynomial division left a remainder", rem_poly)
     return MultiPoly._make(f.arity, quotient, p)
-
-
-def obstruction(
-    f: MultiPoly, var_a: int, bound_a: int, var_b: int, bound_b: int
-) -> MultiPoly:
-    """The part of ``f`` obstructing divisibility by ``var_a**bound_a * var_b**bound_b``:
-    all terms whose ``var_a``-degree is below ``bound_a`` **or** whose
-    ``var_b``-degree is below ``bound_b``.
-
-    ``f - obstruction(f, ...)`` is exactly divisible by the monomial, and the
-    operation is idempotent.
-    """
-    for v in (var_a, var_b):
-        if not 0 <= v < f.arity:
-            raise ValueError(f"variable index {v} out of range")
-    out = {
-        exps: coeff
-        for exps, coeff in f.terms.items()
-        if exps[var_a] < bound_a or exps[var_b] < bound_b
-    }
-    return MultiPoly._make(f.arity, out, f.modulus)
 
 
 def evaluate_fraction(f: MultiPoly, values: Iterable[Fraction]) -> Fraction:

@@ -27,7 +27,7 @@ from jetcert.gflinalg import (
 )
 from jetcert.jets import AnsatzSpace, case_m3_dim_counts, expand_ansatz, twist_lowering_embedding, wronskian_solution_vector
 from jetcert.linsys import assemble, export_sms, import_sms
-from jetcert.polynomials import MultiPoly, obstruction
+from jetcert.polynomials import MultiPoly
 from jetcert.thresholds import (
     H,
     U1,
@@ -255,16 +255,6 @@ def test_reduction_is_a_ring_homomorphism_bulk():
         g = random_poly(rng, 2, max_degree=5, n_terms=6)
         assert (f * g).reduce_mod(PRIME) == f.reduce_mod(PRIME) * g.reduce_mod(PRIME)
         assert (f + g).reduce_mod(PRIME) == f.reduce_mod(PRIME) + g.reduce_mod(PRIME)
-
-
-def test_obstruction_is_idempotent_bulk():
-    rng = random.Random(20260817)
-    for _ in range(1000):
-        f = random_poly(rng, 3, max_degree=6, n_terms=10, modulus=PRIME)
-        ea = rng.randint(1, 4)
-        eb = rng.randint(1, 4)
-        ob = obstruction(f, 0, ea, 1, eb)
-        assert obstruction(ob, 0, ea, 1, eb) == ob
 
 
 def test_unit_factor_never_changes_divisibility():

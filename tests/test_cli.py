@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from jetcert import cli
-from jetcert.conics import PRESET_TRIPLES
+from jetcert.conics import PRESET_TRIPLES, QUADRIC_MONOMIALS, Conic, jacobian_cubic
 from jetcert.linsys import assemble, sms_checksum
 
 
@@ -77,6 +77,8 @@ def test_verify_twist_three_weight_one_has_constant_stratum(capsys):
         ("thresholds", "--degrees", "3,2"),
         ("thresholds", "--digits", "-3"),
         ("thresholds", "--digits", "0"),
+        ("thresholds", "--m", "3"),
+        ("thresholds", "--t", "3"),
         ("enumerate", "--c", "9/5"),
         ("verify", "--m", "3", "--t", "3", "--report", "/nonexistent/dir/r.json"),
     ],
@@ -89,6 +91,10 @@ def test_config_errors_exit_two(capsys, argv):
 
 DOUBLE_LINES = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
 REPEATED = [[2, 1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [-4, -2, -2, 0, 0, 0]]
+# Conics 1 and 2 meet only at [1:0:0], with multiplicity four.
+TANGENT = [[0, -1, 0, 0, 1, 0], [0, -1, 1, 0, 1, 0], [1, 1, 2, 0, 0, 0]]
+# Pairwise transverse, all three through [0:0:1].
+SHARED_POINT = [[0, -1, 0, 0, 1, 0], [-1, 0, 0, 0, 0, 1], [-1, -1, 0, 0, 1, 1]]
 
 
 @pytest.mark.parametrize(
@@ -99,6 +105,10 @@ REPEATED = [[2, 1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [-4, -2, -2, 0, 0, 0]]
         ("export-matrix", "case72", 7, "singular mod 7"),
         ("verify", DOUBLE_LINES, 5, "is singular"),
         ("verify", REPEATED, 5, "equal up to scale"),
+        ("verify", TANGENT, 5, "conics 1 and 2 are tangent"),
+        ("export-matrix", TANGENT, 5, "conics 1 and 2 are tangent"),
+        ("verify", SHARED_POINT, 5, "the three conics share a point"),
+        ("export-matrix", SHARED_POINT, 5, "the three conics share a point"),
     ],
 )
 def test_degenerate_input_exits_two(capsys, tmp_path, command, conics, prime, reason):
@@ -115,6 +125,50 @@ def test_degenerate_input_exits_two(capsys, tmp_path, command, conics, prime, re
     assert out == ""
     assert err.startswith("error:") and reason in err
     assert "Traceback" not in err
+
+
+def _conic_through(rng, point):
+    """A random smooth integer conic through an integer point: draw the
+    coefficients, then solve for one whose monomial is nonzero there."""
+    values = [
+        point[0] ** e0 * point[1] ** e1 * point[2] ** e2
+        for e0, e1, e2 in QUADRIC_MONOMIALS
+    ]
+    while True:
+        k = rng.choice([i for i, v in enumerate(values) if v])
+        coeffs = [rng.randint(-3, 3) * values[k] for _ in range(6)]
+        coeffs[k] = 0
+        coeffs[k] = -sum(c * v for c, v in zip(coeffs, values)) // values[k]
+        conic = Conic(tuple(coeffs)) if any(coeffs) else None
+        if conic is not None and conic.is_smooth():
+            return conic
+
+
+def test_planted_common_point_exits_two(capsys, tmp_path):
+    """Seeded triples planted through a rational point fail the simple
+    normal crossings check; both presets pass it."""
+    rng = random.Random(20261019)
+    checked = 0
+    for case in range(24):
+        point = [0, 0, 0]
+        while not any(point):
+            point = [rng.randint(-3, 3) for _ in range(3)]
+        triple = [_conic_through(rng, point) for _ in range(3)]
+        if len({conic.canonical() for conic in triple}) < 3:
+            continue
+        path = tmp_path / f"planted{case}.json"
+        path.write_text(json.dumps([list(conic.coefficients) for conic in triple]))
+        code, out, err = run_cli(
+            capsys, "verify", "--conics", str(path), "--m", "3", "--t", "3"
+        )
+        assert code == 2 and out == "", (point, triple)
+        # Two of the conics may also be tangent at the planted point; the
+        # pairwise check runs first and reports that.
+        assert "share a point" in err or "are tangent" in err, (point, triple, err)
+        checked += 1
+    assert checked >= 20
+    for name, triple in PRESET_TRIPLES.items():
+        assert cli.check_configuration(triple, 5) == jacobian_cubic(triple), name
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):

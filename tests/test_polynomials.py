@@ -13,8 +13,6 @@ from jetcert.polynomials import (
     NonDivisible,
     RingMismatch,
     exact_div,
-    glex_key,
-    obstruction,
 )
 
 
@@ -110,28 +108,6 @@ def test_exact_div_by_scaled_monomial():
     )
 
 
-def test_obstruction_worked_example():
-    # f = x^3 y^2 + x y + y^5; keep terms with deg_x < 1 or deg_y < 2.
-    f = MultiPoly(2, {(3, 2): 1, (1, 1): 1, (0, 5): 1})
-    got = obstruction(f, 0, 1, 1, 2)
-    assert got == MultiPoly(2, {(1, 1): 1, (0, 5): 1})
-
-
-def test_obstruction_idempotent_and_complement_divisible():
-    rng = random.Random(4242)
-    monomial = MultiPoly(3, {(2, 3, 0): 1}, modulus=5)
-    for _ in range(200):
-        f = random_poly(rng, 3, max_degree=6, n_terms=10, modulus=5)
-        ob = obstruction(f, 0, 2, 1, 3)
-        assert obstruction(ob, 0, 2, 1, 3) == ob
-        cleared = f - ob
-        if cleared.is_zero:
-            continue
-        # Every surviving term has x^2 y^3 as a factor.
-        quotient = exact_div(cleared, monomial)
-        assert monomial * quotient == cleared
-
-
 def test_reduction_is_ring_homomorphism_random():
     rng = random.Random(11)
     p = 5
@@ -140,17 +116,6 @@ def test_reduction_is_ring_homomorphism_random():
         g = random_poly(rng, 2, max_degree=5, n_terms=6)
         assert (f * g).reduce_mod(p) == f.reduce_mod(p) * g.reduce_mod(p)
         assert (f + g).reduce_mod(p) == f.reduce_mod(p) + g.reduce_mod(p)
-
-
-def test_obstruction_commutes_with_reduction_random():
-    rng = random.Random(12)
-    for _ in range(1000):
-        f = random_poly(rng, 2, max_degree=7, n_terms=8)
-        ea = rng.randint(1, 4)
-        eb = rng.randint(1, 4)
-        assert obstruction(f, 0, ea, 1, eb).reduce_mod(5) == obstruction(
-            f.reduce_mod(5), 0, ea, 1, eb
-        )
 
 
 def _divisible_by_monomial(f: MultiPoly, ea: int, eb: int) -> bool:
@@ -197,32 +162,12 @@ def test_deriv_product_rule_random():
             assert lhs == rhs
 
 
-def test_substitute_matches_evaluation():
-    rng = random.Random(7)
-    for _ in range(50):
-        f = random_poly(rng, 2, max_degree=4, n_terms=5)
-        g = random_poly(rng, 2, max_degree=2, n_terms=3)
-        composed = f.substitute(0, g)
-        point = [Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4))]
-        g_val = g.evaluate(point)
-        assert composed.evaluate(point) == f.evaluate([g_val, point[1]])
-
-
 def test_dehomogenize_and_embed():
     f = MultiPoly(3, {(2, 1, 0): 3, (0, 1, 0): 4, (0, 1, 2): -1})
     dehom = f.dehomogenize(0)
     assert dehom == MultiPoly(2, {(1, 0): 3 + 4, (1, 2): -1})
     lifted = dehom.embed(4, (1, 3))
     assert lifted == MultiPoly(4, {(0, 1, 0, 0): 7, (0, 1, 0, 2): -1})
-
-
-def test_glex_leading_term_and_rendering():
-    f = MultiPoly(3, {(1, 1, 1): 32})
-    assert f.to_str(("Z0", "Z1", "Z2")) == "32*Z0*Z1*Z2"
-    g = MultiPoly(2, {(2, 0): 1, (1, 1): -2, (0, 0): 1})
-    assert g.to_str(("x", "y")) == "x^2 - 2*x*y + 1"
-    assert glex_key((2, 0)) > glex_key((1, 1)) or (2, 0) > (1, 1)
-    assert MultiPoly.zero(2).to_str(("x", "y")) == "0"
 
 
 def test_coefficient_map_partition_is_faithful():
