@@ -150,6 +150,8 @@ def load_conics(source: str) -> ConicTriple:
             payload = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read conic file {source!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"conic file {source!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"conic file {source!r} is not valid JSON: {exc}") from exc
     if not (isinstance(payload, list) and len(payload) == 3):
@@ -397,6 +399,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
                 file_values = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config {config_path!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {config_path!r} is not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {config_path!r} is not valid JSON: {exc}") from exc
         if not isinstance(file_values, dict):
@@ -414,6 +418,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         value = pick(name, None)
         if value is not None and not isinstance(value, str):
             raise ConfigError(f"{name} must be a file path")
+        if value == "":
+            raise ConfigError(f"{name} must not be empty")
         return value
 
     def pick_int(name, default):

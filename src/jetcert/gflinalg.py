@@ -1,31 +1,22 @@
 """Exact sparse linear algebra over GF(p).
 
-The core routine runs fraction-free Gaussian elimination on a sparse
-row/column-indexed representation with a Markowitz-flavoured pivot rule:
-the pivot column is the active column with the fewest active rows (ties
-broken by column index), and within it the row with the fewest entries
-(ties broken by row index).  The rule is fully deterministic, so rank,
-nullity and the emitted nullspace basis are reproducible bit-for-bit.
+The core routine is online Gaussian elimination on sparse rows.  The rows
+are read sparsest first (ties broken by row index); each is reduced against
+the pivot log of the rows read before it, and a nonzero residue is
+normalized to 1 at its lowest column and frozen as the next log entry.
+Every frozen row is thus clear of all earlier pivot columns, so one pass in
+log order reduces a row, and one reverse pass back-substitutes.  The order
+is fully deterministic, so rank, nullity and the emitted nullspace basis
+are reproducible bit-for-bit.
 
-Rows are admitted on demand, because the obstruction systems carry two to
-three times more rows than unknowns and reducing the surplus to zero was
-most of the work:
-
-1. the ``n_vars`` sparsest rows (ties by row index) are eliminated first;
-2. while the rank is below ``n_vars``, the next batch is the unadmitted
-   rows that touch a still-free column, sparsest first, as many as there
-   are free columns (twice the last batch if that one gained no rank);
-3. once no unadmitted row touches a free column, all the rest come in;
-4. an admitted row is reduced against the frozen pivot log in log order,
-   and the batch's nonzero residues are eliminated by the same pivot rule.
-
-One pass in step 4 suffices, and the log stays valid for back-substitution,
-because every frozen pivot row is clear of all earlier pivot columns.
-Elimination stops at rank ``n_vars``.  This is sound: any subset of the rows
-is a set of necessary conditions, so full rank on a subset certifies the
-whole system, and a rank below ``n_vars`` is only ever reported after every
-row was admitted.  The reported rank is therefore always the rank of the
-full system.
+Elimination stops at rank ``n_vars``, because the obstruction systems carry
+two to three times more rows than unknowns and reducing the surplus to zero
+would be most of the work.  This is sound: any subset of the rows is a set
+of necessary conditions, so full rank on a subset certifies the whole
+system, and a rank below ``n_vars`` is only ever reported after every row
+was read.  The reported rank is therefore always the rank of the full
+system, and at full rank the ``n_vars`` rows that supplied the pivots have
+full rank on their own.
 
 Everything is exact arithmetic in the prime field; there is no rounding
 and therefore no tolerance anywhere in this module.  A dense textbook
@@ -70,8 +61,9 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class EliminationResult:
-    """Outcome of one elimination; ``rows_admitted`` counts the rows that
-    took part, which is ``len(system.rows)`` whenever the nullity is above 0."""
+    """Outcome of one elimination; ``rows_admitted`` counts the rows read
+    before it stopped, which is ``len(system.rows)`` whenever the nullity is
+    above 0."""
 
     prime: int
     n_vars: int
@@ -125,126 +117,44 @@ def _reduce(entries: Row, p: int, pivot_log: PivotLog,
     return row
 
 
-def _markowitz(rows: dict[int, dict[int, int]], p: int, pivot_log: PivotLog,
-               position: dict[int, int]) -> None:
-    """Eliminate ``rows`` (source row id -> residue) to zero, appending one
-    frozen pivot row to ``pivot_log`` per rank gained."""
-    columns: dict[int, set[int]] = {}
-    for rid, row in rows.items():
-        for col in row:
-            columns.setdefault(col, set()).add(rid)
-    heap: list[tuple[int, int]] = [(len(rids), col) for col, rids in columns.items()]
-    heapq.heapify(heap)
-    while heap:
-        count, col = heapq.heappop(heap)
-        rids = columns.get(col)
-        if not rids:
-            continue
-        if count != len(rids):
-            heapq.heappush(heap, (len(rids), col))
-            continue
-        pivot_row_id = min(rids, key=lambda r: (len(rows[r]), r))
-        pivot = rows.pop(pivot_row_id)
-        inv = pow(pivot[col], p - 2, p)
-        if inv != 1:
-            for c in pivot:
-                pivot[c] = pivot[c] * inv % p
-        # Retire the pivot row from the active indices.
-        for c in pivot:
-            columns[c].discard(pivot_row_id)
-        targets = sorted(rids)
-        rids.clear()
-        touched: set[int] = set()
-        for rid in targets:
-            row = rows[rid]
-            neg = p - row[col]
-            for c, pc in pivot.items():
-                old = row.get(c)
-                if old is None:
-                    row[c] = neg * pc % p
-                    columns.setdefault(c, set()).add(rid)
-                    touched.add(c)
-                    continue
-                val = (old + neg * pc) % p
-                if val:
-                    row[c] = val
-                else:
-                    del row[c]
-                    columns[c].discard(rid)
-                    touched.add(c)
-        # Push the new counts only once every target is reduced.
-        for c in touched:
-            if columns.get(c):
-                heapq.heappush(heap, (len(columns[c]), c))
-        position[col] = len(pivot_log)
-        pivot_log.append((col, pivot_row_id, pivot))
-
-
 def _eliminate(system: LinearSystem) -> tuple[PivotLog, int]:
-    """Forward elimination with rows admitted on demand.
+    """Forward elimination, one row at a time, sparsest first.
 
-    Returns the pivot log, one entry per rank, and the number of rows
-    admitted.  Each log entry is ``(col, row_index, frozen_row)`` where
-    ``frozen_row`` is the pivot row at the moment it was used, normalized
-    to pivot 1 and clear of all earlier pivot columns.
+    Returns the pivot log, one entry per rank, and the number of rows read.
+    Each log entry is ``(col, row_index, frozen_row)`` where ``frozen_row``
+    is the row's residue against the log before it, normalized to 1 at its
+    lowest column ``col``; it is therefore clear of all earlier pivot columns.
     """
     p = system.prime
     n = system.n_vars
     source = system.rows
     order = sorted(range(len(source)), key=lambda r: (len(source[r]), r))
-    # Unadmitted rows are candidates while they touch a free column and
-    # dormant after; the free columns only shrink, so a dormant row stays so.
-    batch, candidates, dormant = order[:n], order[n:], []
-    admitted = 0
     pivot_log: PivotLog = []
     position: dict[int, int] = {}  # pivot column -> its index in the log
-    while True:
-        admitted += len(batch)
-        rank_before = len(pivot_log)
-        residues = {}
-        for rid in batch:
-            row = _reduce(source[rid], p, pivot_log, position)
-            if row:
-                residues[rid] = row
-        _markowitz(residues, p, pivot_log, position)
-        if len(pivot_log) == n or not (candidates or dormant):
+    read = 0
+    for rid in order:
+        if len(pivot_log) == n:
             break
-        free = set(range(n)).difference(position)
-        touching = []
-        for rid in candidates:
-            if any(c in free for c, _ in source[rid]):
-                touching.append(rid)
-            else:
-                dormant.append(rid)
-        if not touching:
-            batch, candidates, dormant = dormant, [], []
+        read += 1
+        row = _reduce(source[rid], p, pivot_log, position)
+        if not row:
             continue
-        # A batch that gained no rank doubles the next one, so that a
-        # deficient system whose free columns every row touches does not
-        # admit its rows a few at a time.
-        size = len(free)
-        if len(pivot_log) == rank_before:
-            size = max(size, 2 * len(batch))
-        batch, candidates = touching[:size], touching[size:]
+        col = min(row)
+        inv = pow(row[col], p - 2, p)
+        if inv != 1:
+            for c in row:
+                row[c] = row[c] * inv % p
+        position[col] = len(pivot_log)
+        pivot_log.append((col, rid, row))
     # Soundness: the rank is that of the whole system only if it is full or
-    # every row took part.  Raised, not asserted, so that ``-O`` keeps it.
-    if len(pivot_log) != n and (candidates or dormant):
+    # every row was read.  Raised, not asserted, so that ``-O`` keeps it.
+    if len(pivot_log) != n and read != len(source):
         raise AssertionError("elimination stopped short of full rank with rows left")
-    return pivot_log, admitted
+    return pivot_log, read
 
 
-def rank_nullity(system: LinearSystem) -> EliminationResult:
-    """Rank and nullity of the system over GF(p).
-
-    Rows are admitted on demand (see the module docstring): a full-rank
-    system usually stops before all rows are read, a deficient one always
-    reads them all, so the rank is that of the whole system either way.
-    ``pivots`` lists ``(column, row index)`` pairs; the row indices point
-    into ``system.rows`` and, at full rank, name ``n_vars`` rows that alone
-    have full rank.
-    """
-    _check_system(system)
-    pivot_log, admitted = _eliminate(system)
+def _result(system: LinearSystem, pivot_log: PivotLog, read: int,
+            basis: tuple[dict[int, int], ...] | None = None) -> EliminationResult:
     rank = len(pivot_log)
     return EliminationResult(
         prime=system.prime,
@@ -252,8 +162,23 @@ def rank_nullity(system: LinearSystem) -> EliminationResult:
         rank=rank,
         nullity=system.n_vars - rank,
         pivots=tuple((col, rid) for col, rid, _ in pivot_log),
-        rows_admitted=admitted,
+        rows_admitted=read,
+        basis=basis,
     )
+
+
+def rank_nullity(system: LinearSystem) -> EliminationResult:
+    """Rank and nullity of the system over GF(p).
+
+    Elimination stops at full rank (see the module docstring): a full-rank
+    system usually stops before all rows are read, a deficient one always
+    reads them all, so the rank is that of the whole system either way.
+    ``pivots`` lists ``(column, row index)`` pairs; the row indices point
+    into ``system.rows`` and, at full rank, name ``n_vars`` rows that alone
+    have full rank.
+    """
+    _check_system(system)
+    return _result(system, *_eliminate(system))
 
 
 def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationResult:
@@ -262,11 +187,10 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     One basis vector per free column, with a 1 in that column; pivot
     coordinates are recovered by back-substitution through the pivot log
     in reverse order (each frozen pivot row is clear of earlier pivot
-    columns, so a single reverse pass suffices, for rows of every
-    admission batch alike).  A nonzero nullity is reached only after every
-    row was admitted, and each row's residue then lies in the span of the
-    pivot rows, so every basis vector is annihilated by every row of the
-    system, not only by the pivot rows.
+    columns, so a single reverse pass suffices).  A nonzero nullity is
+    reached only after every row was read, and each row's residue then
+    lies in the span of the pivot rows, so every basis vector is
+    annihilated by every row of the system, not only by the pivot rows.
 
     ``workers`` is ignored: elimination is always serial.  The keyword is
     kept only because the benchmark's traced replay
@@ -274,8 +198,7 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     """
     _check_system(system)
     p = system.prime
-    pivot_log, admitted = _eliminate(system)
-    rank = len(pivot_log)
+    pivot_log, read = _eliminate(system)
     pivot_cols = {col for col, _, _ in pivot_log}
     free_cols = [c for c in range(system.n_vars) if c not in pivot_cols]
     basis: list[dict[int, int]] = []
@@ -289,15 +212,7 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
             if acc:
                 vector[col] = (-acc) % p
         basis.append(vector)
-    result = EliminationResult(
-        prime=p,
-        n_vars=system.n_vars,
-        rank=rank,
-        nullity=system.n_vars - rank,
-        pivots=tuple((col, rid) for col, rid, _ in pivot_log),
-        rows_admitted=admitted,
-        basis=tuple(basis),
-    )
+    result = _result(system, pivot_log, read, tuple(basis))
     assert result.nullity == len(basis)
     return result
 

@@ -173,4 +173,6 @@ def read_sms(path: str, prime: int) -> LinearSystem:
             text = handle.read()
     except OSError as exc:
         raise IoFailure(f"cannot read SMS file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"SMS file {path!r} is not ASCII text: {exc}") from exc
     return import_sms(text, prime)

@@ -81,9 +81,23 @@ def test_verify_twist_three_weight_one_has_constant_stratum(capsys):
         ("thresholds", "--t", "3"),
         ("enumerate", "--c", "9/5"),
         ("verify", "--m", "3", "--t", "3", "--report", "/nonexistent/dir/r.json"),
+        ("verify", "--m", "3", "--t", "3", "--conics", "@not-utf8"),
+        ("verify", "--m", "3", "--t", "3", "--config", "@not-utf8"),
+        ("export-matrix", "--m", "3", "--t", "3", "--config", "@not-utf8",
+         "--output", "out.sms"),
+        ("verify", "--m", "3", "--t", "3", "--report", ""),
+        ("verify", "--m", "3", "--t", "3", "--export-matrix", ""),
+        ("verify", "--m", "3", "--t", "3", "--config", "@empty-report"),
+        ("verify", "--m", "3", "--t", "3", "--config", "@empty-export-matrix"),
     ],
 )
-def test_config_errors_exit_two(capsys, argv):
+def test_config_errors_exit_two(capsys, tmp_path, monkeypatch, argv):
+    # ``@name`` stands for a file made here: bytes that are not UTF-8, or a
+    # config setting one output path to the empty string.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "@not-utf8").write_bytes(b"\xff\xfe[[1,2]]")
+    (tmp_path / "@empty-report").write_text(json.dumps({"report": ""}))
+    (tmp_path / "@empty-export-matrix").write_text(json.dumps({"export_matrix": ""}))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
@@ -220,7 +234,7 @@ def test_report_structure(capsys, tmp_path):
     assert set(payload) == {
         "version", "params", "counts", "result", "checksum", "timings", "work",
     }
-    assert payload["work"] == {"rows_admitted": 136}
+    assert payload["work"] == {"rows_admitted": 238}
     assert set(payload["counts"]) == {"n_vars", "n_rows_raw", "n_rows_dedup"}
     assert set(payload["result"]) == {"rank", "nullity", "verdict"}
     assert {"assemble_s", "eliminate_s", "max_rss_mb"} <= set(payload["timings"])

@@ -1,9 +1,11 @@
 """Tests for the exact sparse GF(p) elimination engine.
 
 The load-bearing check is sparse-vs-dense agreement on seeded random
-systems: the sparse Markowitz-pivoting engine and the textbook dense
-elimination are independent code paths that must report identical rank
-and nullity, and every emitted nullspace vector must annihilate every row.
+systems: the sparse online elimination and the textbook dense elimination
+are independent code paths that must report identical rank and nullity,
+and every emitted nullspace vector must annihilate every row.  The pivot
+log that the sparse engine, its reduction and its back-substitution share
+is checked directly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 from jetcert.conics import PRESET_TRIPLES
 from jetcert.gflinalg import (
     DENSE_LIMIT,
+    _eliminate,
     dense_rank_nullity,
     in_row_span,
     is_prime,
@@ -59,13 +62,19 @@ def test_empty_system_full_nullspace():
         assert verify_solution(system, vector)
 
 
-def test_sparse_matches_dense_oracle_randomized():
+def _oracle_systems():
+    """The seeded random systems of the sparse-vs-dense comparison."""
     rng = random.Random(1729)
     for _ in range(40):
         prime = rng.choice([5, 7, 11])
         n_vars = rng.randint(1, 60)
         n_rows = rng.randint(0, 90)
-        system = _random_system(rng, n_vars, n_rows, prime)
+        yield _random_system(rng, n_vars, n_rows, prime)
+
+
+def test_sparse_matches_dense_oracle_randomized():
+    for system in _oracle_systems():
+        prime, n_vars = system.prime, system.n_vars
         sparse = nullspace_basis(system)
         dense = dense_rank_nullity(system)
         assert (sparse.rank, sparse.nullity) == dense
@@ -149,25 +158,25 @@ def test_alternate_prime_certifies_small_instance():
     assert (result.rank, result.nullity) == (113, 0)
 
 
-# -- staged row admission --------------------------------------------------------------
+# -- online elimination ----------------------------------------------------------------
 
 
 def test_late_dense_row_completes_the_rank():
-    """The ``n_vars`` sparsest rows miss column 5 and the only row that
-    carries it is the densest: admission must reach it and stop there."""
+    """The only row that carries column 5 is the densest, so it is read
+    last: the redundant rows before it must not stop the elimination."""
     rows = [((0, 1),), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),),
             ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (3, 1)),
             tuple((c, 1) for c in range(6))]
     system = LinearSystem(prime=5, n_vars=6, rows=tuple(rows))
     result = rank_nullity(system)
     assert (result.rank, result.nullity) == (6, 0)
-    assert result.rows_admitted == 7
+    assert result.rows_admitted == 9
     assert (5, 8) in result.pivots
 
 
 def test_row_that_touches_no_free_column_can_complete_the_rank():
     """Row 3 touches only pivot columns, yet its residue carries the free
-    column 1; it is admitted once no row touches a free column."""
+    column 1; reducing it against the log must keep that residue."""
     rows = (((0, 1), (1, 1)), ((0, 2), (1, 2)), ((2, 1),), ((0, 1), (2, 1)))
     system = LinearSystem(prime=5, n_vars=3, rows=rows)
     result = rank_nullity(system)
@@ -191,19 +200,25 @@ def _planted_kernel_system(rng, n_vars, n_rows, prime, pairs):
     return LinearSystem(prime=prime, n_vars=n_vars, rows=tuple(rows))
 
 
-@pytest.mark.parametrize("prime", [5, 7])
-def test_staged_admission_matches_dense_oracle(prime):
-    """Over- and under-determined, full-rank and deficient systems: the rank
-    is the dense oracle's, and a nonzero nullity reads every row."""
+def _mixed_systems(prime):
+    """Seeded over- and under-determined systems, every third one with a
+    planted kernel."""
     rng = random.Random(6000 + prime)
-    shapes = set()
     for trial in range(60):
         n_vars = rng.randint(6, 50)
         n_rows = rng.choice([rng.randint(0, n_vars), rng.randint(n_vars + 1, 4 * n_vars)])
         if trial % 3 == 2:
-            system = _planted_kernel_system(rng, n_vars, n_rows, prime, rng.randint(1, 3))
+            yield _planted_kernel_system(rng, n_vars, n_rows, prime, rng.randint(1, 3))
         else:
-            system = _random_system(rng, n_vars, n_rows, prime)
+            yield _random_system(rng, n_vars, n_rows, prime)
+
+
+@pytest.mark.parametrize("prime", [5, 7])
+def test_staged_admission_matches_dense_oracle(prime):
+    """Over- and under-determined, full-rank and deficient systems: the rank
+    is the dense oracle's, and a nonzero nullity reads every row."""
+    shapes = set()
+    for system in _mixed_systems(prime):
         result = rank_nullity(system)
         assert (result.rank, result.nullity) == dense_rank_nullity(system)
         assert result.rows_admitted <= system.n_rows
@@ -218,13 +233,14 @@ def test_fermat_4_3_certifies_from_a_row_subset():
     system = assemble(FERMAT, 4, 3, 5)
     result = rank_nullity(system)
     assert (result.rank, result.nullity) == dense_rank_nullity(system) == (295, 0)
-    assert result.rows_admitted == 406 < system.n_rows == 633
+    assert result.rows_admitted == 565 < system.n_rows == 633
 
 
 @pytest.mark.parametrize("which", ["fermat-3-0", "planted"])
 def test_basis_is_annihilated_by_every_row(which):
-    """Back-substitution through a log built from several admission batches
-    gives vectors that every row of the system annihilates."""
+    """Back-substitution through the pivot log of a deficient system gives
+    vectors that every row of the system annihilates, not only the pivot
+    rows."""
     if which == "fermat-3-0":
         system = assemble(FERMAT, 3, 0, 5)
     else:
@@ -238,3 +254,38 @@ def test_basis_is_annihilated_by_every_row(which):
             sum(coeff * vector.get(col, 0) for col, coeff in row) % system.prime == 0
             for row in system.rows
         )
+
+
+def _pivot_log_systems(which):
+    if which == "fermat-4-3":
+        return [assemble(FERMAT, 4, 3, 5)]
+    if which == "fermat-3-0":
+        return [assemble(FERMAT, 3, 0, 5)]
+    if which == "oracle":
+        return _oracle_systems()
+    return _mixed_systems(int(which.split("-")[1]))
+
+
+@pytest.mark.parametrize("which", ["fermat-4-3", "fermat-3-0", "oracle", "mixed-5", "mixed-7"])
+def test_pivot_log_invariant(which):
+    """What the one-pass reduction and back-substitution rely on: every
+    frozen row has 1 at its pivot column and no entry in an earlier pivot
+    column.  The rows named by ``pivots`` are independent, so at full rank
+    they alone have full rank: the witness of the certificate."""
+    for system in _pivot_log_systems(which):
+        pivot_log, _ = _eliminate(system)
+        earlier: set[int] = set()
+        for col, _, row in pivot_log:
+            assert row[col] == 1
+            assert earlier.isdisjoint(row)
+            earlier.add(col)
+        result = rank_nullity(system)
+        assert result.pivots == tuple((col, rid) for col, rid, _ in pivot_log)
+        rids = [rid for _, rid in result.pivots]
+        assert len(set(rids)) == len(rids)
+        witness = LinearSystem(
+            prime=system.prime,
+            n_vars=system.n_vars,
+            rows=tuple(system.rows[rid] for rid in rids),
+        )
+        assert dense_rank_nullity(witness)[0] == result.rank

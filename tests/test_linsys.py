@@ -59,6 +59,13 @@ def test_sms_file_round_trip(tmp_path):
         read_sms(str(tmp_path / "missing.sms"), 5)
 
 
+def test_read_sms_rejects_undecodable_bytes(tmp_path):
+    path = tmp_path / "system.sms"
+    path.write_bytes(b"1 1 M\n1 1 \xff\n0 0 0\n")
+    with pytest.raises(IoFailure, match="not ASCII"):
+        read_sms(str(path), 5)
+
+
 @pytest.mark.parametrize(
     "text",
     [
