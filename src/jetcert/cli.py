@@ -393,7 +393,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     file_values: dict = {}
     config_path = getattr(args, "config", None)
-    if config_path:
+    if config_path == "":
+        raise ConfigError("config must not be empty")
+    if config_path is not None:
         try:
             with open(config_path, "r", encoding="utf-8") as handle:
                 file_values = json.load(handle)

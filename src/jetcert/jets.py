@@ -36,14 +36,22 @@ conics ``a, b, c``:
     once per chart, and no polynomial division is needed.  Each block is stored
     as its jet-slot decomposition ``{(i, j, k): S(u, v)}`` over the monomials
     ``u1^i v1^j W^k`` (``i + j + 3k = m`` always — the expansion is
-    weighted-homogeneous).
+    weighted-homogeneous), and modulo ``u^m * v^m``: only the terms with
+    ``u``-degree < m or ``v``-degree < m are kept.  That is exact for the
+    rows of step 5, which read nothing else.  Multiplication never lowers an
+    exponent, so a factor term with both degrees at least ``m`` feeds only
+    product terms with both degrees at least ``m``; the factors, every power
+    and every partial product are therefore cut back as they are formed,
+    which keeps about a third of the terms.
 5.  Obstruction rows (:func:`obstruction_rows`): a global section's cleared
     numerator must be divisible by ``u^m * v^m`` (times factors of ``a, b, c``,
     which are units for this question since a smooth conic contains no
     coordinate line).  Every ``(u, v)``-coefficient of the numerator with
     ``u``-degree < m or ``v``-degree < m is therefore a linear form in the
     unknowns that must vanish; those linear forms, reduced mod p and
-    normalized, are the rows of the certification system.
+    normalized, are the rows of the certification system.  A chart monomial
+    shift only raises degrees, so each such coefficient comes from block
+    terms that step 4 kept.
 
 Soundness direction used downstream: a nonzero complex solution would give a
 nonzero rational one, hence a primitive integer one, hence a nonzero mod-p
@@ -276,7 +284,10 @@ class JetExpansion:
 
     ``blocks[(w, k)]`` maps each jet slot ``(i, j, kk)`` (the monomial
     ``u1^i * v1^j * W^kk``, ``i + j + 3kk = m``) to the bivariate polynomial
-    multiplying it inside the block ``B_{w,k}``.  The expansion is linear in
+    multiplying it inside the block ``B_{w,k}``, modulo ``u^m * v^m``: terms
+    with ``u``-degree and ``v``-degree both at least ``m`` are dropped, since
+    no obstruction row reads them, and a slot with no remaining term is
+    absent.  The expansion is linear in
     the unknowns by construction: the coefficient of the unknown
     ``(w, k, e)`` in the cleared numerator's slot ``(i, j, kk)`` is the
     ``(u, v)``-shift of ``blocks[(w, k)][(i, j, kk)]`` by the chart monomial
@@ -298,10 +309,19 @@ class JetExpansion:
         ]
 
 
-def _powers(base: MultiPoly, top: int) -> list[MultiPoly]:
+def _below(poly: MultiPoly, m: int) -> MultiPoly:
+    """``poly`` modulo ``u^m * v^m``: the terms with ``u``-degree < m or
+    ``v``-degree < m, the only ones an obstruction row reads."""
+    kept = {e: c for e, c in poly.terms.items() if e[0] < m or e[1] < m}
+    return MultiPoly._make(poly.arity, kept, poly.modulus)
+
+
+def _powers(base: MultiPoly, top: int, m: int) -> list[MultiPoly]:
+    """``base^0 .. base^top`` modulo ``u^m * v^m``."""
+    base = _below(base, m)
     out = [MultiPoly.constant(base.arity, 1, base.modulus)]
     for _ in range(top):
-        out.append(out[-1] * base)
+        out.append(_below(out[-1] * base, m))
     return out
 
 
@@ -363,8 +383,9 @@ def expand_ansatz(
     ``Y = beta*a``, ``C_w = L~_red^w * (a*b)^w * (u*v)^(2w)``).  The powers of
     ``X``, ``Y`` and ``C_1`` are computed once per chart and shared by all
     strata, so the expansion performs multiplications only, never a
-    division.  :func:`full_block` recomputes any block the slow way, as a
-    reference for the tests.
+    division.  Factors, powers and partial products are all kept modulo
+    ``u^m * v^m`` (see the module docstring).  :func:`full_block` recomputes
+    any full block the slow way, as a reference for the tests.
 
     ``parallel`` is ignored.  The expansion is always serial; the keyword is
     kept only because the benchmark's traced replay (``perfbench/traced.py``)
@@ -378,14 +399,15 @@ def expand_ansatz(
     beta5 = _drop_second_order(wf.forms.beta).embed(5, (0, 1, 2, 3))
     max_w = max((w for w, _ in space.strata), default=0)
     lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
-    x_pows = _powers(alpha5 * lift(b2), m)
-    y_pows = _powers(beta5 * lift(a2), m)
-    c_pows = _powers(wf.reduced * lift(a2 * b2 * uv2 * uv2), max_w)
+    x_pows = _powers(alpha5 * lift(b2), m, m)
+    y_pows = _powers(beta5 * lift(a2), m, m)
+    c_pows = _powers(wf.reduced * lift(a2 * b2 * uv2 * uv2), max_w, m)
 
     blocks: dict[tuple[int, int], dict[tuple[int, int, int], MultiPoly]] = {}
     for w, _ in space.strata:
         for k in range(m - 3 * w + 1):
-            poly = c_pows[w] * x_pows[m - 3 * w - k] * y_pows[k]
+            poly = _below(c_pows[w] * x_pows[m - 3 * w - k], m)
+            poly = _below(poly * y_pows[k], m)
             slot_map = poly.coefficient_map((2, 3, 4))
             for (i, j, kk) in slot_map:
                 if i + j + 3 * kk != m:
@@ -426,7 +448,9 @@ def obstruction_rows(
     Rows are the coefficients, over the unknowns, of every cleared-numerator
     ``(u, v)``-monomial with ``u``-degree < m or ``v``-degree < m; they are
     reduced mod ``prime``, normalized so the lowest-column coefficient is 1,
-    and ordered by ``(chart, slot, monomial)``.
+    and ordered by ``(chart, slot, monomial)``.  The blocks are already
+    reduced modulo ``u^m * v^m``, so every term can reach a row; monomials
+    are handled as packed ints while the rows are summed.
 
     ``parallel`` is ignored, for the same reason as in
     :func:`expand_ansatz`."""
@@ -439,32 +463,38 @@ def obstruction_rows(
     chart = expansion.chart
     degrees = dict(space.strata)
 
-    # Only terms that can land below the divisibility bound after a
-    # monomial shift ever reach a row.
-    by_slot: dict[tuple[int, int, int], dict[tuple[int, int], dict[int, int]]] = {}
-    for (w, k), slot_map in sorted(expansion.blocks.items()):
-        for slot, poly in sorted(slot_map.items()):
-            strip = [
-                (su, sv, coeff)
-                for (su, sv), coeff in poly.terms.items()
-                if su < m or sv < m
-            ]
-            if not strip:
-                continue
-            rows = by_slot.setdefault(slot, {})
-            for exps in space.stratum_monomials(degrees[w]):
-                col = space.index[AnsatzIndex(w, k, exps)]
-                eu, ev = chart_monomial_shift(chart, exps)
-                bound_u = m - eu
-                bound_v = m - ev
-                for su, sv, coeff in strip:
-                    if su < bound_u or sv < bound_v:
-                        bucket = rows.setdefault((su + eu, sv + ev), {})
-                        bucket[col] = bucket.get(col, 0) + coeff
+    # A (u, v)-monomial is packed into one int, u in the high field; the
+    # field holds the largest block exponent plus the largest shift.
+    top = max(
+        (e for slot_map in expansion.blocks.values() for poly in slot_map.values()
+         for exps in poly.terms for e in exps),
+        default=0,
+    )
+    width = (top + max(degrees.values(), default=0)).bit_length()
 
+    # slot -> packed monomial -> column -> coefficient
+    by_slot: dict[tuple[int, int, int], dict[int, dict[int, int]]] = {}
+    for (w, k), slot_map in sorted(expansion.blocks.items()):
+        # Each unknown of the block: its column, the divisibility bounds
+        # left after its chart shift, and that shift packed.  A column meets
+        # each monomial of a slot at most once, so nothing is summed.
+        shifts = []
+        for exps in space.stratum_monomials(degrees[w]):
+            eu, ev = chart_monomial_shift(chart, exps)
+            col = space.index[AnsatzIndex(w, k, exps)]
+            shifts.append((col, m - eu, m - ev, eu << width | ev))
+        for slot, poly in sorted(slot_map.items()):
+            strip = [(su, sv, su << width | sv, c) for (su, sv), c in poly.terms.items()]
+            rows = by_slot.setdefault(slot, {})
+            for col, bound_u, bound_v, shift in shifts:
+                for su, sv, key, coeff in strip:
+                    if su < bound_u or sv < bound_v:
+                        rows.setdefault(key + shift, {})[col] = coeff
+
+    mask = (1 << width) - 1
     out: list[ObstructionRow] = []
     for slot, by_monomial in by_slot.items():
-        for monomial, bucket in by_monomial.items():
+        for key, bucket in by_monomial.items():
             entries = []
             for col in sorted(bucket):
                 coeff = bucket[col] % prime
@@ -476,6 +506,7 @@ def obstruction_rows(
             normalized = tuple(
                 (col, coeff * lead_inverse % prime) for col, coeff in entries
             )
+            monomial = (key >> width, key & mask)
             out.append(ObstructionRow(chart, slot, monomial, normalized))
     out.sort(key=row_sort_key)
     return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .conics import ConicTriple, chart_data
 from .jets import (
@@ -99,19 +100,39 @@ def assemble(
     return merge_rows(all_rows, prime, space.n_vars, space)
 
 
+class _ValueText(dict):
+    """``value -> "value\\n"``, each string built on first use."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = f"{value}\n"
+        return text
+
+
+def _sms_chunks(system: LinearSystem) -> Iterator[str]:
+    """The SMS text in pieces: the header, one chunk per nonempty row and
+    the terminator.  Every line ends in a newline."""
+    yield f"{system.n_rows} {system.n_vars} M\n"
+    cols = [f" {col} " for col in range(1, system.n_vars + 1)]
+    values = _ValueText()
+    for r, row in enumerate(system.rows, start=1):
+        if row:
+            prefix = str(r)
+            yield prefix + prefix.join([cols[col] + values[coeff] for col, coeff in row])
+    yield "0 0 0\n"
+
+
 def export_sms(system: LinearSystem) -> str:
     """Serialize to SMS text (byte-reproducible for equal systems)."""
-    lines = [f"{system.n_rows} {system.n_vars} M"]
-    for r, row in enumerate(system.rows, start=1):
-        for col, coeff in row:
-            lines.append(f"{r} {col + 1} {coeff}")
-    lines.append("0 0 0")
-    return "\n".join(lines) + "\n"
+    return "".join(_sms_chunks(system))
 
 
 def sms_checksum(system: LinearSystem) -> str:
-    """SHA-256 of the SMS serialization (the report's integrity anchor)."""
-    return hashlib.sha256(export_sms(system).encode("ascii")).hexdigest()
+    """SHA-256 of the SMS serialization (the report's integrity anchor),
+    hashed chunk by chunk without building the whole text."""
+    digest = hashlib.sha256()
+    for chunk in _sms_chunks(system):
+        digest.update(chunk.encode("ascii"))
+    return digest.hexdigest()
 
 
 def import_sms(text: str, prime: int) -> LinearSystem:
@@ -162,7 +183,7 @@ def import_sms(text: str, prime: int) -> LinearSystem:
 def write_sms(system: LinearSystem, path: str) -> None:
     try:
         with open(path, "w", encoding="ascii") as handle:
-            handle.write(export_sms(system))
+            handle.writelines(_sms_chunks(system))
     except OSError as exc:
         raise IoFailure(f"cannot write SMS file {path!r}: {exc}") from exc
 

@@ -11,6 +11,12 @@ Design points:
   coefficients are never stored.  :func:`exact_div` and
   :meth:`MultiPoly.reduce_mod` need integer coefficients when
   ``modulus=None``.
+* Products pack each exponent tuple into one int with a field of equal
+  width per variable, wide enough for the sum of the two operands' largest
+  exponents, so adding two packed keys adds the exponent tuples without a
+  carry between fields.  Keys are unpacked once per output term; ``terms``
+  keeps tuple keys.  (Monagan & Pearce, "Polynomial division using dynamic
+  arrays, heaps, and packed exponent vectors", CASC 2007.)
 * Division is by a monomial only: :func:`exact_div` takes a single-term
   divisor and divides term by term.  The jet pipeline divides by powers of
   one jet variable and never needs general polynomial division.
@@ -202,23 +208,33 @@ class MultiPoly:
             return self.scale(other)
         self._check_compatible(other)
         p = self.modulus
+        f, g = self.terms, other.terms
+        if not f or not g:
+            return MultiPoly.zero(self.arity, p)
+        # Pack each exponent tuple into one int, one field of ``width`` bits
+        # per variable.  The field holds the largest exponent sum, so adding
+        # two packed keys never carries into the next field.
+        width = (max(map(max, f)) + max(map(max, g))).bit_length() if self.arity else 0
+        shifts = [width * i for i in reversed(range(self.arity))]
         # Iterate over the smaller operand in the outer loop.
-        f, g = (self.terms, other.terms)
         if len(f) > len(g):
             f, g = g, f
-        out: dict[tuple[int, ...], int] = {}
+        packed = [(_pack(e, width), c) for e, c in g.items()]
+        out: dict[int, int] = {}
         get = out.get
         for e1, c1 in f.items():
-            for e2, c2 in g.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc = get(key, 0) + c1 * c2
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        if p is not None:
-            out = {e: cm for e, c in out.items() if (cm := c % p)}
-        return MultiPoly._make(self.arity, out, p)
+            k1 = _pack(e1, width)
+            for k2, c2 in packed:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        mask = (1 << width) - 1
+        terms = {}
+        for key, c in out.items():
+            if p is not None:
+                c %= p
+            if c:
+                terms[tuple(key >> s & mask for s in shifts)] = c
+        return MultiPoly._make(self.arity, terms, p)
 
     __rmul__ = __mul__
 
@@ -353,6 +369,15 @@ class MultiPoly:
             pattern: MultiPoly._make(len(keep), terms, self.modulus)
             for pattern, terms in out.items()
         }
+
+
+def _pack(exps: tuple[int, ...], width: int) -> int:
+    """One int holding ``exps`` in ``width``-bit fields, first variable highest."""
+    key = 0
+    for e in exps:
+        key = key << width | e
+    return key
+
 
 # -- free functions mirroring the public contract --------------------------------
 

@@ -38,6 +38,30 @@ def reference_blocks(data: ChartData, space: AnsatzSpace) -> dict:
     }
 
 
+def reduce_blocks(blocks: dict, m: int) -> dict:
+    """A block map modulo ``u^m * v^m``, as ``JetExpansion.blocks`` stores it:
+    every term with ``u``-degree and ``v``-degree both at least ``m`` is
+    dropped, and so is every slot left without a term."""
+    out = {}
+    for key, slot_map in blocks.items():
+        out[key] = {}
+        for slot, poly in slot_map.items():
+            kept = {e: c for e, c in poly.terms.items() if e[0] < m or e[1] < m}
+            if kept:
+                out[key][slot] = MultiPoly(poly.arity, kept, poly.modulus)
+    return out
+
+
+def tuple_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """``f * g`` the plain way: exponent tuples added entry by entry."""
+    out: dict[tuple[int, ...], int] = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return MultiPoly(f.arity, out, f.modulus)
+
+
 def random_nonzero_poly(
     rng: random.Random,
     arity: int,

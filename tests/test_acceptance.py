@@ -26,7 +26,7 @@ from jetcert.gflinalg import (
     verify_solution,
 )
 from jetcert.jets import AnsatzSpace, case_m3_dim_counts, expand_ansatz, twist_lowering_embedding, wronskian_solution_vector
-from jetcert.linsys import assemble, export_sms, import_sms
+from jetcert.linsys import assemble, export_sms, import_sms, sms_checksum
 from jetcert.polynomials import MultiPoly
 from jetcert.thresholds import (
     H,
@@ -44,7 +44,7 @@ from jetcert.thresholds import (
     z_cube_intersection,
 )
 
-from _util import random_poly, reference_blocks
+from _util import random_poly, reduce_blocks, reference_blocks
 
 FERMAT = PRESET_TRIPLES["fermat"]
 PRIME = 5
@@ -90,6 +90,19 @@ EXTENDED_PAIRS = [(6, 5), (6, 6), (7, 5), (7, 7), (8, 6), (9, 7), (10, 7)]
 # The rest of the c = 5 list, with the unknown counts: minutes of assembly
 # and elimination, 1.2 GB.
 STRETCH_PAIRS = {(11, 8): 6840, (12, 9): 8990, (13, 9): 12550}
+# SHA-256 of each assembled system's SMS text (fermat, p = 5, charts z0,z2).
+SYSTEM_SHA256 = {
+    (6, 5): "f2a3ecc68053e623da3ea20ca2117b0c0d594091083adb2e29727bcfce5971e9",
+    (6, 6): "c36762f63495211ec10af35987a937bc951460e5d14e688f41b83ebffb9fed09",
+    (7, 5): "8403129719c995e14c01f7a9299b1a6b17cb253a03aea8328d1af2648a28ddfc",
+    (7, 7): "23ddd219aa73b474da0f6c80fda73116cdb69dd75b3325e9e853c75deb8245f9",
+    (8, 6): "8ce0d7455b51cfd2fc2618a3c991847bb8d3a9527fafb575a155f130452a93e3",
+    (9, 7): "be0bc1398b334375394be249ef07a3882645c5977d94eabf89ca4d02f417d160",
+    (10, 7): "a636f8125967b3f534dd9a68bedaac2fafbfd8e9d7528fff46ebed0103db4bdd",
+    (11, 8): "eab058f81631fd80f1ba75d0055626c8f413c2b80b53337be2883477bad39017",
+    (12, 9): "38f69aa8da6b8f8e15b83d546455d57bb202a74d657cf7ea6f9db18bbe0b21ce",
+    (13, 9): "a5aab969a7dc13860770035d5fc9d60a7ce616c39c25abfa0657aeafb32b077c",
+}
 # Rows the online elimination reads before reaching full rank.
 ROWS_ADMITTED = {(3, 3): 238, (4, 3): 565, (4, 4): 524, (5, 4): 1133, (5, 5): 1079}
 
@@ -114,6 +127,7 @@ def test_gating_certification(m, t):
 @pytest.mark.parametrize("m,t", EXTENDED_PAIRS)
 def test_extended_certification(m, t):
     system = assemble(FERMAT, m, t, PRIME)
+    assert sms_checksum(system) == SYSTEM_SHA256[(m, t)]
     outcome = rank_nullity(system)
     assert outcome.nullity == 0
     assert outcome.rank == system.n_vars
@@ -126,6 +140,7 @@ def test_stretch_certification(m, t):
     start = time.perf_counter()
     system = assemble(FERMAT, m, t, PRIME)
     timings["assemble_s"] = round(time.perf_counter() - start, 2)
+    assert sms_checksum(system) == SYSTEM_SHA256[(m, t)]
     start = time.perf_counter()
     outcome = rank_nullity(system)
     timings["eliminate_s"] = round(time.perf_counter() - start, 2)
@@ -284,11 +299,13 @@ def test_unit_factor_never_changes_divisibility():
 @pytest.mark.parametrize("m,t", [(3, 0), (3, 3), (4, 3), (4, 4)])
 def test_reduced_substitution_matches_full_low_weight(m, t):
     """The expansion's blocks equal the per-block elimination of
-    ``full_block`` on both default charts, so the assembled systems agree."""
+    ``full_block`` modulo ``u^m * v^m`` on both default charts, so the
+    assembled systems agree."""
     space = AnsatzSpace.build(m, t)
     for chart in (0, 2):
         data = chart_data(FERMAT, chart, modulus=PRIME)
-        assert expand_ansatz(data, space).blocks == reference_blocks(data, space)
+        expected = reduce_blocks(reference_blocks(data, space), m)
+        assert expand_ansatz(data, space).blocks == expected
 
 
 def test_twist_lowering_embeds_solution_spaces():

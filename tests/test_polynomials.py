@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from _util import random_nonzero_poly, random_poly
+from _util import random_nonzero_poly, random_poly, tuple_product
 from jetcert.polynomials import (
     MultiPoly,
     NonDivisible,
@@ -184,3 +184,38 @@ def test_coefficient_map_partition_is_faithful():
             )
             rebuilt = rebuilt + lifted * monomial
         assert rebuilt == f
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2, 5, 7])
+def test_packed_product_matches_tuple_sums(arity):
+    """``__mul__`` adds exponents packed into one int per term; it agrees with
+    the plain product that adds exponent tuples, over ZZ, QQ and GF(5), with
+    zero operands, cancelling coefficients and exponent sums at a power of
+    two (a field one bit too narrow would carry into its neighbor)."""
+    rng = random.Random(20261018 + arity)
+    rings = [(None, 1), (None, Fraction(1, 3)), (5, 1)]
+    for modulus, unit in rings:
+        zero = MultiPoly.zero(arity, modulus)
+
+        def draw(max_degree):
+            poly = random_poly(rng, arity, max_degree, n_terms=6)
+            return poly.scale(unit).reduce_mod(modulus) if modulus else poly.scale(unit)
+
+        for _ in range(30):
+            f, g = draw(4), draw(6)
+            assert f * g == tuple_product(f, g)
+            assert f * zero == zero == zero * f
+            # (f + g) * (f - g): the cross terms cancel to zero.
+            assert (f + g) * (f - g) == tuple_product(f + g, f - g)
+            assert (f + g) * (f - g) == f * f - g * g
+        # The largest exponents sum to 2, 7, 15 and 256: 2^b - 1 and 2^b.
+        for top_f, top_g in [(1, 1), (3, 4), (7, 8), (255, 1)]:
+            f, g = draw(1), draw(1)
+            for i in range(arity):
+                high = [0] * arity
+                high[i] = top_f
+                f = f + MultiPoly(arity, {tuple(high): 2}, modulus)
+                high[i] = top_g
+                high[(i + 1) % arity] += 1
+                g = g + MultiPoly(arity, {tuple(high): 3}, modulus)
+            assert f * g == tuple_product(f, g)
