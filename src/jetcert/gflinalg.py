@@ -9,14 +9,21 @@ log order reduces a row, and one reverse pass back-substitutes.  The order
 is fully deterministic, so rank, nullity and the emitted nullspace basis
 are reproducible bit-for-bit.
 
+A row whose entries all sit in pivot columns is deferred until the other
+rows were read, and is then reduced only if one of its columns leads,
+through the frozen rows, to a free column (one that is not a pivot column).
+Otherwise it is skipped, which is exact: reducing it could only bring in
+pivot columns, each of which is cleared in turn, so its residue is zero and
+it lies in the span of the log for good.
+
 Elimination stops at rank ``n_vars``, because the obstruction systems carry
 two to three times more rows than unknowns and reducing the surplus to zero
 would be most of the work.  This is sound: any subset of the rows is a set
 of necessary conditions, so full rank on a subset certifies the whole
 system, and a rank below ``n_vars`` is only ever reported after every row
-was read.  The reported rank is therefore always the rank of the full
-system, and at full rank the ``n_vars`` rows that supplied the pivots have
-full rank on their own.
+was reduced or proved to lie in the span.  The reported rank is therefore
+always the rank of the full system, and at full rank the ``n_vars`` rows
+that supplied the pivots have full rank on their own.
 
 Everything is exact arithmetic in the prime field; there is no rounding
 and therefore no tolerance anywhere in this module.  A dense textbook
@@ -61,9 +68,11 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class EliminationResult:
-    """Outcome of one elimination; ``rows_admitted`` counts the rows read
-    before it stopped, which is ``len(system.rows)`` whenever the nullity is
-    above 0."""
+    """Outcome of one elimination.
+
+    ``rows_admitted`` counts the rows reduced before it stopped.  Whenever
+    the nullity is above 0, every other row was skipped because it provably
+    lies in the span of the pivot rows (see the module docstring)."""
 
     prime: int
     n_vars: int
@@ -117,13 +126,35 @@ def _reduce(entries: Row, p: int, pivot_log: PivotLog,
     return row
 
 
+def _reach(pivot_log: PivotLog, position: dict[int, int]) -> list[bool]:
+    """Per log entry, whether reducing by it can bring in a free column.
+
+    An entry reaches if its frozen row has a free column, or a pivot column
+    whose entry reaches.  A frozen row names only the pivot columns of later
+    entries, so one reverse pass is exact.
+    """
+    reach = [False] * len(pivot_log)
+    for i in range(len(pivot_log) - 1, -1, -1):
+        col, _, row = pivot_log[i]
+        for c in row:
+            if c != col:
+                pos = position.get(c)
+                if pos is None or reach[pos]:
+                    reach[i] = True
+                    break
+    return reach
+
+
 def _eliminate(system: LinearSystem) -> tuple[PivotLog, int]:
     """Forward elimination, one row at a time, sparsest first.
 
-    Returns the pivot log, one entry per rank, and the number of rows read.
-    Each log entry is ``(col, row_index, frozen_row)`` where ``frozen_row``
-    is the row's residue against the log before it, normalized to 1 at its
-    lowest column ``col``; it is therefore clear of all earlier pivot columns.
+    Returns the pivot log, one entry per rank, and the number of rows
+    reduced.  Each log entry is ``(col, row_index, frozen_row)`` where
+    ``frozen_row`` is the row's residue against the log before it,
+    normalized to 1 at its lowest column ``col``; it is therefore clear of
+    all earlier pivot columns.  A row with no entry in a free column is
+    deferred, in order, and after the first pass reduced only if one of its
+    columns reaches (:func:`_reach`); a row that cannot reach is skipped.
     """
     p = system.prime
     n = system.n_vars
@@ -131,14 +162,11 @@ def _eliminate(system: LinearSystem) -> tuple[PivotLog, int]:
     order = sorted(range(len(source)), key=lambda r: (len(source[r]), r))
     pivot_log: PivotLog = []
     position: dict[int, int] = {}  # pivot column -> its index in the log
-    read = 0
-    for rid in order:
-        if len(pivot_log) == n:
-            break
-        read += 1
+
+    def admit(rid: int) -> None:
         row = _reduce(source[rid], p, pivot_log, position)
         if not row:
-            continue
+            return
         col = min(row)
         inv = pow(row[col], p - 2, p)
         if inv != 1:
@@ -146,14 +174,37 @@ def _eliminate(system: LinearSystem) -> tuple[PivotLog, int]:
                 row[c] = row[c] * inv % p
         position[col] = len(pivot_log)
         pivot_log.append((col, rid, row))
+
+    reduced = skipped = 0
+    deferred: list[int] = []
+    for rid in order:
+        if len(pivot_log) == n:
+            break
+        if all(col in position for col, _ in source[rid]):
+            deferred.append(rid)
+            continue
+        reduced += 1
+        admit(rid)
+    reach: list[bool] = []
+    for rid in deferred:
+        if len(pivot_log) == n:
+            break
+        if len(reach) != len(pivot_log):  # a new pivot makes the flags stale
+            reach = _reach(pivot_log, position)
+        if not any(reach[position[col]] for col, _ in source[rid]):
+            skipped += 1
+            continue
+        reduced += 1
+        admit(rid)
     # Soundness: the rank is that of the whole system only if it is full or
-    # every row was read.  Raised, not asserted, so that ``-O`` keeps it.
-    if len(pivot_log) != n and read != len(source):
+    # every row was reduced or skipped.  Raised, not asserted, so that ``-O``
+    # keeps it.
+    if len(pivot_log) != n and reduced + skipped != len(source):
         raise AssertionError("elimination stopped short of full rank with rows left")
-    return pivot_log, read
+    return pivot_log, reduced
 
 
-def _result(system: LinearSystem, pivot_log: PivotLog, read: int,
+def _result(system: LinearSystem, pivot_log: PivotLog, reduced: int,
             basis: tuple[dict[int, int], ...] | None = None) -> EliminationResult:
     rank = len(pivot_log)
     return EliminationResult(
@@ -162,7 +213,7 @@ def _result(system: LinearSystem, pivot_log: PivotLog, read: int,
         rank=rank,
         nullity=system.n_vars - rank,
         pivots=tuple((col, rid) for col, rid, _ in pivot_log),
-        rows_admitted=read,
+        rows_admitted=reduced,
         basis=basis,
     )
 
@@ -171,8 +222,9 @@ def rank_nullity(system: LinearSystem) -> EliminationResult:
     """Rank and nullity of the system over GF(p).
 
     Elimination stops at full rank (see the module docstring): a full-rank
-    system usually stops before all rows are read, a deficient one always
-    reads them all, so the rank is that of the whole system either way.
+    system usually stops before all rows are read, and a deficient one
+    reduces every row or proves that it lies in the span of the pivot rows,
+    so the rank is that of the whole system either way.
     ``pivots`` lists ``(column, row index)`` pairs; the row indices point
     into ``system.rows`` and, at full rank, name ``n_vars`` rows that alone
     have full rank.
@@ -187,10 +239,16 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     One basis vector per free column, with a 1 in that column; pivot
     coordinates are recovered by back-substitution through the pivot log
     in reverse order (each frozen pivot row is clear of earlier pivot
-    columns, so a single reverse pass suffices).  A nonzero nullity is
-    reached only after every row was read, and each row's residue then
-    lies in the span of the pivot rows, so every basis vector is
-    annihilated by every row of the system, not only by the pivot rows.
+    columns, so a single reverse pass suffices).  The pass serves every
+    free column at once: each column keeps the nonzero coordinates of the
+    basis vectors in it, so the work follows the nonzeros produced, not
+    nullity times log size.  A vector's keys are its free column, then its
+    nonzero pivot columns in reverse log order.
+
+    A nonzero nullity is reached only after every row was reduced, leaving
+    a residue in the span of the pivot rows, or skipped because it lies in
+    that span, so every basis vector is annihilated by every row of the
+    system, not only by the pivot rows.
 
     ``workers`` is ignored: elimination is always serial.  The keyword is
     kept only because the benchmark's traced replay
@@ -198,34 +256,44 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     """
     _check_system(system)
     p = system.prime
-    pivot_log, read = _eliminate(system)
+    pivot_log, reduced = _eliminate(system)
     pivot_cols = {col for col, _, _ in pivot_log}
     free_cols = [c for c in range(system.n_vars) if c not in pivot_cols]
-    basis: list[dict[int, int]] = []
-    for free in free_cols:
-        vector: dict[int, int] = {free: 1}
-        for col, _, row in reversed(pivot_log):
-            acc = 0
-            for c, coeff in row.items():
-                if c != col and c in vector:
-                    acc = (acc + coeff * vector[c]) % p
-            if acc:
-                vector[col] = (-acc) % p
-        basis.append(vector)
-    result = _result(system, pivot_log, read, tuple(basis))
+    # column -> {basis index: nonzero coordinate of that vector}
+    values: dict[int, dict[int, int]] = {free: {k: 1} for k, free in enumerate(free_cols)}
+    for col, _, row in reversed(pivot_log):
+        acc: dict[int, int] = {}
+        for c, coeff in row.items():
+            if c != col:
+                for k, v in values[c].items():
+                    acc[k] = (acc.get(k, 0) + coeff * v) % p
+        values[col] = {k: p - a for k, a in acc.items() if a}
+    basis = [{free: 1} for free in free_cols]
+    for col, _, _ in reversed(pivot_log):
+        for k, v in values[col].items():
+            basis[k][col] = v
+    result = _result(system, pivot_log, reduced, tuple(basis))
     assert result.nullity == len(basis)
     return result
 
 
 def verify_solution(system: LinearSystem, vector: dict[int, int]) -> bool:
-    """Exact check that every row annihilates the vector mod p."""
+    """Exact check that every row annihilates the vector mod p.
+
+    Only a row that meets the vector's support can fail, so only those rows
+    are visited, found through ``system.column_rows``."""
     p = system.prime
     reduced = {c: v % p for c, v in vector.items() if v % p}
     if any(not 0 <= c < system.n_vars for c in reduced):
         raise ValueError("vector has coordinates outside the unknown range")
-    for row in system.rows:
+    index = system.column_rows
+    touched: set[int] = set()
+    for c in reduced:
+        touched.update(index[c])
+    rows = system.rows
+    for rid in touched:
         acc = 0
-        for col, coeff in row:
+        for col, coeff in rows[rid]:
             if col in reduced:
                 acc = (acc + coeff * reduced[col]) % p
         if acc:
@@ -277,12 +345,14 @@ def dense_rank_nullity(system: LinearSystem) -> tuple[int, int]:
 
 def in_row_span(system: LinearSystem, vectors: tuple[dict[int, int], ...],
                 candidate: dict[int, int]) -> bool:
-    """Whether ``candidate`` lies in the GF(p) span of ``vectors``."""
+    """Whether ``candidate`` lies in the GF(p) span of ``vectors``: its
+    residue against the pivot log of ``vectors`` is empty."""
     p = system.prime
     base_rows = tuple(
         tuple(sorted((c, v % p) for c, v in vec.items() if v % p)) for vec in vectors
     )
-    cand_row = tuple(sorted((c, v % p) for c, v in candidate.items() if v % p))
     base = LinearSystem(prime=p, n_vars=system.n_vars, rows=base_rows)
-    extended = LinearSystem(prime=p, n_vars=system.n_vars, rows=base_rows + (cand_row,))
-    return rank_nullity(base).rank == rank_nullity(extended).rank
+    _check_system(base)
+    pivot_log, _ = _eliminate(base)
+    position = {col: i for i, (col, _, _) in enumerate(pivot_log)}
+    return not _reduce(candidate.items(), p, pivot_log, position)

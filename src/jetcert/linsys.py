@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 from .conics import ConicTriple, chart_data
@@ -50,6 +51,18 @@ class LinearSystem:
     @property
     def n_rows(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def column_rows(self) -> list[list[int]]:
+        """For each column, the ids of the rows with an entry in it.
+
+        Built on first use and kept; not a dataclass field, so equality,
+        hash and repr ignore it."""
+        index: list[list[int]] = [[] for _ in range(self.n_vars)]
+        for rid, row in enumerate(self.rows):
+            for col, _ in row:
+                index[col].append(rid)
+        return index
 
 
 def merge_rows(
@@ -136,32 +149,38 @@ def sms_checksum(system: LinearSystem) -> str:
 
 
 def import_sms(text: str, prime: int) -> LinearSystem:
-    """Parse SMS text back into a system (content only, no provenance)."""
+    """Parse SMS text back into a system (content only, no provenance).
+
+    Every header and triple token must be ASCII decimal digits, so signs,
+    underscores and non-ASCII digits are rejected instead of read as
+    numbers that would not re-export to the same bytes."""
     lines = text.splitlines()
     if not lines:
         raise IoFailure("empty SMS input")
     header = lines[0].split()
     if len(header) != 3 or header[2] != "M":
         raise IoFailure(f"malformed SMS header: {lines[0]!r}")
-    try:
-        n_rows, n_cols = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise IoFailure(f"malformed SMS header: {lines[0]!r}") from exc
-    if n_rows < 0 or n_cols < 0:
+    dims = header[:2]
+    if not (lines[0].isascii() and all(t.removeprefix("-").isdigit() for t in dims)):
+        raise IoFailure(f"malformed SMS header: {lines[0]!r}")
+    if any(t.startswith("-") for t in dims):
         raise IoFailure("negative dimensions in SMS header")
+    n_rows, n_cols = int(dims[0]), int(dims[1])
     entries: dict[int, list[tuple[int, int]]] = {}
     terminated = False
     for line in lines[1:]:
-        if not line.strip():
-            continue
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3:
             raise IoFailure(f"malformed SMS triple: {line!r}")
-        try:
-            r, c, value = (int(p) for p in parts)
-        except ValueError as exc:
-            raise IoFailure(f"malformed SMS triple: {line!r}") from exc
-        if (r, c, value) == (0, 0, 0):
+        rt, ct, vt = parts
+        if not (line.isascii() and rt.isdigit() and ct.isdigit() and vt.isdigit()):
+            raise IoFailure(f"malformed SMS triple: {line!r}")
+        r = int(rt)
+        c = int(ct)
+        value = int(vt)
+        if r == 0 and c == 0 and value == 0:
             terminated = True
             break
         if not (1 <= r <= n_rows and 1 <= c <= n_cols):

@@ -62,6 +62,35 @@ def tuple_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(f.arity, out, f.modulus)
 
 
+def backsubstitute_per_free_column(pivot_log, n_vars: int, p: int) -> list[dict]:
+    """The nullspace basis the plain way: for each free column in turn, one
+    back-substitution through the whole pivot log of
+    :func:`jetcert.gflinalg._eliminate`."""
+    pivot_cols = {col for col, _, _ in pivot_log}
+    basis = []
+    for free in (c for c in range(n_vars) if c not in pivot_cols):
+        vector = {free: 1}
+        for col, _, row in reversed(pivot_log):
+            acc = 0
+            for c, coeff in row.items():
+                if c != col and c in vector:
+                    acc = (acc + coeff * vector[c]) % p
+            if acc:
+                vector[col] = (-acc) % p
+        basis.append(vector)
+    return basis
+
+
+def annihilated_by_every_row(system, vector: dict[int, int]) -> bool:
+    """Brute force: every row of the system, whatever its support, sums to
+    zero mod p against ``vector``."""
+    p = system.prime
+    return all(
+        sum(coeff * vector.get(col, 0) for col, coeff in row) % p == 0
+        for row in system.rows
+    )
+
+
 def random_nonzero_poly(
     rng: random.Random,
     arity: int,

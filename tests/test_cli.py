@@ -235,7 +235,7 @@ def test_report_structure(capsys, tmp_path):
     assert set(payload) == {
         "version", "params", "counts", "result", "checksum", "timings", "work",
     }
-    assert payload["work"] == {"rows_admitted": 238}
+    assert payload["work"] == {"rows_admitted": 119}
     assert set(payload["counts"]) == {"n_vars", "n_rows_raw", "n_rows_dedup"}
     assert set(payload["result"]) == {"rank", "nullity", "verdict"}
     assert {"assemble_s", "eliminate_s", "max_rss_mb"} <= set(payload["timings"])

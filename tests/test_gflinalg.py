@@ -5,7 +5,10 @@ systems: the sparse online elimination and the textbook dense elimination
 are independent code paths that must report identical rank and nullity,
 and every emitted nullspace vector must annihilate every row.  The pivot
 log that the sparse engine, its reduction and its back-substitution share
-is checked directly.
+is checked directly, and so is the rule that skips a row proved to lie in
+the span of the pivot rows.  The one-pass back-substitution and the
+solution check that visits only the rows meeting a vector's support are
+compared with plain reference versions.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from jetcert.gflinalg import (
     verify_solution,
 )
 from jetcert.linsys import LinearSystem, assemble
+
+from _util import annihilated_by_every_row, backsubstitute_per_free_column
 
 FERMAT = PRESET_TRIPLES["fermat"]
 
@@ -170,7 +175,7 @@ def test_late_dense_row_completes_the_rank():
     system = LinearSystem(prime=5, n_vars=6, rows=tuple(rows))
     result = rank_nullity(system)
     assert (result.rank, result.nullity) == (6, 0)
-    assert result.rows_admitted == 9
+    assert result.rows_admitted == 6
     assert (5, 8) in result.pivots
 
 
@@ -182,6 +187,31 @@ def test_row_that_touches_no_free_column_can_complete_the_rank():
     result = rank_nullity(system)
     assert (result.rank, result.nullity) == (3, 0)
     assert result.rows_admitted == 4
+
+
+def test_deferred_row_reaches_the_free_column_through_two_pivot_rows():
+    """Row 3 touches only the pivot columns 0 and 3, so it is deferred.  The
+    frozen row of column 0 names pivot column 1, whose frozen row names the
+    free column 2: only this path through two pivot rows shows that row 3
+    has a nonzero residue, and a check one level deep would skip it."""
+    rows = (((3, 1),), ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (3, 1)))
+    system = LinearSystem(prime=5, n_vars=4, rows=rows)
+    result = rank_nullity(system)
+    assert (result.rank, result.nullity) == dense_rank_nullity(system) == (4, 0)
+    assert result.rows_admitted == 4
+    assert (2, 3) in result.pivots
+
+
+def _pivot_rows_span_every_row(system, result):
+    """The dense oracle's check that the rows named by ``pivots`` span every
+    row of the system, which makes the rank, the nullity and the basis those
+    of the whole system, however many rows were skipped."""
+    witness = tuple(system.rows[rid] for _, rid in result.pivots)
+    stacked = LinearSystem(
+        prime=system.prime, n_vars=system.n_vars, rows=witness + system.rows
+    )
+    alone = LinearSystem(prime=system.prime, n_vars=system.n_vars, rows=witness)
+    return dense_rank_nullity(alone)[0] == dense_rank_nullity(stacked)[0] == result.rank
 
 
 def _planted_kernel_system(rng, n_vars, n_rows, prime, pairs):
@@ -216,14 +246,15 @@ def _mixed_systems(prime):
 @pytest.mark.parametrize("prime", [5, 7])
 def test_staged_admission_matches_dense_oracle(prime):
     """Over- and under-determined, full-rank and deficient systems: the rank
-    is the dense oracle's, and a nonzero nullity reads every row."""
+    is the dense oracle's, and at a nonzero nullity the pivot rows span
+    every row."""
     shapes = set()
     for system in _mixed_systems(prime):
         result = rank_nullity(system)
         assert (result.rank, result.nullity) == dense_rank_nullity(system)
         assert result.rows_admitted <= system.n_rows
         if result.nullity:
-            assert result.rows_admitted == system.n_rows
+            assert _pivot_rows_span_every_row(system, result)
         shapes.add((system.n_rows > system.n_vars, result.nullity == 0))
     # An under-determined system is always deficient; a square one may not be.
     assert {(True, True), (True, False), (False, False)} <= shapes
@@ -233,7 +264,7 @@ def test_fermat_4_3_certifies_from_a_row_subset():
     system = assemble(FERMAT, 4, 3, 5)
     result = rank_nullity(system)
     assert (result.rank, result.nullity) == dense_rank_nullity(system) == (295, 0)
-    assert result.rows_admitted == 565 < system.n_rows == 633
+    assert result.rows_admitted == 323 < system.n_rows == 633
 
 
 @pytest.mark.parametrize("which", ["fermat-3-0", "planted"])
@@ -247,23 +278,20 @@ def test_basis_is_annihilated_by_every_row(which):
         system = _planted_kernel_system(random.Random(41), 40, 160, 5, 2)
     result = nullspace_basis(system)
     assert result.nullity > 0
-    assert result.rows_admitted == system.n_rows
+    assert _pivot_rows_span_every_row(system, result)
     assert len(result.basis) == result.nullity
     for vector in result.basis:
-        assert all(
-            sum(coeff * vector.get(col, 0) for col, coeff in row) % system.prime == 0
-            for row in system.rows
-        )
+        assert annihilated_by_every_row(system, vector)
 
 
-def _pivot_log_systems(which):
-    if which == "fermat-4-3":
-        return [assemble(FERMAT, 4, 3, 5)]
-    if which == "fermat-3-0":
-        return [assemble(FERMAT, 3, 0, 5)]
-    if which == "oracle":
+def _named_systems(which):
+    """``fermat-m-t`` (one assembled system), ``oracle`` or ``mixed-p``."""
+    kind, *args = which.split("-")
+    if kind == "fermat":
+        return [assemble(FERMAT, int(args[0]), int(args[1]), 5)]
+    if kind == "oracle":
         return _oracle_systems()
-    return _mixed_systems(int(which.split("-")[1]))
+    return _mixed_systems(int(args[0]))
 
 
 @pytest.mark.parametrize("which", ["fermat-4-3", "fermat-3-0", "oracle", "mixed-5", "mixed-7"])
@@ -272,7 +300,7 @@ def test_pivot_log_invariant(which):
     frozen row has 1 at its pivot column and no entry in an earlier pivot
     column.  The rows named by ``pivots`` are independent, so at full rank
     they alone have full rank: the witness of the certificate."""
-    for system in _pivot_log_systems(which):
+    for system in _named_systems(which):
         pivot_log, _ = _eliminate(system)
         earlier: set[int] = set()
         for col, _, row in pivot_log:
@@ -289,3 +317,45 @@ def test_pivot_log_invariant(which):
             rows=tuple(system.rows[rid] for rid in rids),
         )
         assert dense_rank_nullity(witness)[0] == result.rank
+
+
+@pytest.mark.parametrize(
+    "which", ["fermat-3-0", "fermat-4-0", "fermat-5-0", "oracle", "mixed-5", "mixed-7"]
+)
+def test_backsubstitution_matches_per_column_reference(which):
+    """The one reverse pass gives, on the same pivot log, the vectors of one
+    back-substitution per free column: same keys, values and key order."""
+    for system in _named_systems(which):
+        pivot_log, _ = _eliminate(system)
+        expected = backsubstitute_per_free_column(pivot_log, system.n_vars, system.prime)
+        basis = nullspace_basis(system).basis
+        assert [list(v.items()) for v in basis] == [list(v.items()) for v in expected]
+
+
+@pytest.mark.parametrize("which", ["oracle", "mixed-5", "mixed-7"])
+def test_verify_solution_matches_all_rows_check(which):
+    """Visiting only the rows that meet the support gives the verdict of
+    checking every row: on annihilating vectors, random vectors, a support
+    that meets no row and a vector that is zero mod p."""
+    rng = random.Random(4242)
+    verdicts = set()
+    untouched_seen = False
+    for system in _named_systems(which):
+        p, n = system.prime, system.n_vars
+        basis = nullspace_basis(system).basis
+        candidates = list(basis)
+        candidates.append({c: rng.randint(1, 3 * p) for c in range(n) if rng.random() < 0.5})
+        candidates.append({c: p * rng.randint(1, 3) for c in range(n)})
+        if len(basis) > 1:
+            candidates.append({c: (basis[0].get(c, 0) + 2 * basis[1].get(c, 0)) % p
+                               for c in set(basis[0]) | set(basis[1])})
+        untouched = [c for c, rids in enumerate(system.column_rows) if not rids]
+        if untouched:
+            untouched_seen = True
+            candidates.append({c: rng.randint(1, p - 1) for c in untouched})
+        for vector in candidates:
+            verdict = verify_solution(system, vector)
+            assert verdict == annihilated_by_every_row(system, vector)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    assert untouched_seen

@@ -80,6 +80,11 @@ def test_read_sms_rejects_undecodable_bytes(tmp_path):
         "1 1 M\n1 1\n0 0 0\n",  # malformed triple
         "-1 1 M\n0 0 0\n",  # negative dimension
         "1 2 M\n1 1 1\n1 1 2\n0 0 0\n",  # duplicate column within a row
+        "1 1 M\n+1 1 1\n0 0 0\n",  # signed row index
+        "1 1 M\n1 1 1\n-0 +0 0_0\n",  # signed and underscored zeros, no terminator
+        "1 2 M\n1 \u0662 1\n0 0 0\n",  # non-ASCII digit
+        "+1 1 M\n1 1 1\n0 0 0\n",  # signed header
+        "1 \u0661 M\n1 1 1\n0 0 0\n",  # non-ASCII digit in the header
     ],
 )
 def test_sms_import_rejects_malformed(text):
@@ -136,5 +141,8 @@ def test_equality_ignores_bookkeeping_fields():
         provenance=((0, (0, 0, 1), (0, 0)),),
     )
     assert base == decorated
+    indexed = LinearSystem(prime=5, n_vars=2, rows=(((0, 1),),))
+    assert indexed.column_rows == [[0], []]
+    assert indexed == base and hash(indexed) == hash(base) and repr(indexed) == repr(base)
     assert base != LinearSystem(prime=7, n_vars=2, rows=(((0, 1),),))
     assert base != LinearSystem(prime=5, n_vars=3, rows=(((0, 1),),))
