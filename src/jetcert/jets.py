@@ -51,7 +51,9 @@ conics ``a, b, c``:
     unknowns that must vanish; those linear forms, reduced mod p and
     normalized, are the rows of the certification system.  A chart monomial
     shift only raises degrees, so each such coefficient comes from block
-    terms that step 4 kept.
+    terms that step 4 kept.  The rows are built one jet slot at a time and
+    emitted in the canonical order: slots ascending, monomials by
+    ``(u+v, u, v)``.
 
 Soundness direction used downstream: a nonzero complex solution would give a
 nonzero rational one, hence a primitive integer one, hence a nonzero mod-p
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .conics import CHART_AXES, ChartData
 from .polynomials import MultiPoly, exact_div
@@ -432,25 +434,17 @@ class ObstructionRow(NamedTuple):
     entries: tuple[tuple[int, int], ...]  # (column, coefficient), ascending
 
 
-def row_sort_key(row: ObstructionRow):
-    """The canonical row order ``(chart, slot, monomial)``, monomials by total
-    degree first; shared by :func:`obstruction_rows` and
-    :func:`jetcert.linsys.merge_rows`."""
-    i, j = row.monomial
-    return (row.chart, row.slot, (i + j, i, j))
-
-
 def obstruction_rows(
     expansion: JetExpansion, prime: int, *, parallel: bool = False
-) -> list[ObstructionRow]:
-    """All divisibility obstruction rows of one chart's expansion.
+) -> Iterator[ObstructionRow]:
+    """The divisibility obstruction rows of one chart's expansion, built one
+    jet slot at a time and yielded in the canonical order: slots ascending,
+    then monomials by ``(u+v, u, v)``.
 
-    Rows are the coefficients, over the unknowns, of every cleared-numerator
-    ``(u, v)``-monomial with ``u``-degree < m or ``v``-degree < m; they are
-    reduced mod ``prime``, normalized so the lowest-column coefficient is 1,
-    and ordered by ``(chart, slot, monomial)``.  The blocks are already
-    reduced modulo ``u^m * v^m``, so every term can reach a row; monomials
-    are handled as packed ints while the rows are summed.
+    A row is the coefficient, over the unknowns, of a cleared-numerator
+    ``(u, v)``-monomial with ``u``-degree < m or ``v``-degree < m, reduced
+    mod ``prime`` and normalized so its lowest-column coefficient is 1.  A
+    ``prime`` other than the expansion's raises here, at the call.
 
     ``parallel`` is ignored, for the same reason as in
     :func:`expand_ansatz`."""
@@ -458,58 +452,58 @@ def obstruction_rows(
         raise ValueError(
             f"expansion was built mod {expansion.modulus}, rows requested mod {prime}"
         )
-    m = expansion.space.m
-    space = expansion.space
-    chart = expansion.chart
-    degrees = dict(space.strata)
+    return _slot_rows(expansion, prime)
 
-    # A (u, v)-monomial is packed into one int, u in the high field; the
-    # field holds the largest block exponent plus the largest shift.
+
+def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[ObstructionRow]:
+    space = expansion.space
+    m, chart, degrees = space.m, expansion.chart, dict(space.strata)
+
+    # A (u, v)-monomial is packed into one int of three fields, u + v
+    # highest, then u, then v: ascending keys are the canonical monomial
+    # order, and packed keys add field by field.  The u and v fields hold
+    # the largest block exponent plus the largest shift.
     top = max(
         (e for slot_map in expansion.blocks.values() for poly in slot_map.values()
          for exps in poly.terms for e in exps),
         default=0,
     )
     width = (top + max(degrees.values(), default=0)).bit_length()
+    pack = lambda u, v: (u + v) << 2 * width | u << width | v  # noqa: E731
+    mask = (1 << width) - 1
 
-    # slot -> packed monomial -> column -> coefficient
-    by_slot: dict[tuple[int, int, int], dict[int, dict[int, int]]] = {}
-    for (w, k), slot_map in sorted(expansion.blocks.items()):
-        # Each unknown of the block: its column, the divisibility bounds
-        # left after its chart shift, and that shift packed.  A column meets
-        # each monomial of a slot at most once, so nothing is summed.
+    # slot -> the blocks' polynomials in it, each with its block's unknowns:
+    # their columns, the divisibility bounds left after their chart shifts,
+    # and those shifts packed.
+    by_slot: dict[tuple[int, int, int], list] = {}
+    for (w, k), slot_map in expansion.blocks.items():
         shifts = []
         for exps in space.stratum_monomials(degrees[w]):
             eu, ev = chart_monomial_shift(chart, exps)
             col = space.index[AnsatzIndex(w, k, exps)]
-            shifts.append((col, m - eu, m - ev, eu << width | ev))
-        for slot, poly in sorted(slot_map.items()):
-            strip = [(su, sv, su << width | sv, c) for (su, sv), c in poly.terms.items()]
-            rows = by_slot.setdefault(slot, {})
+            shifts.append((col, m - eu, m - ev, pack(eu, ev)))
+        for slot, poly in slot_map.items():
+            by_slot.setdefault(slot, []).append((poly, shifts))
+
+    for slot in sorted(by_slot):
+        # packed monomial -> column -> coefficient, for this slot only.  A
+        # column meets each monomial of a slot at most once, so nothing is
+        # summed.
+        buckets: dict[int, dict[int, int]] = {}
+        for poly, shifts in by_slot[slot]:
+            strip = [(su, sv, pack(su, sv), c) for (su, sv), c in poly.terms.items()]
             for col, bound_u, bound_v, shift in shifts:
                 for su, sv, key, coeff in strip:
                     if su < bound_u or sv < bound_v:
-                        rows.setdefault(key + shift, {})[col] = coeff
-
-    mask = (1 << width) - 1
-    out: list[ObstructionRow] = []
-    for slot, by_monomial in by_slot.items():
-        for key, bucket in by_monomial.items():
-            entries = []
-            for col in sorted(bucket):
-                coeff = bucket[col] % prime
-                if coeff:
-                    entries.append((col, coeff))
-            if not entries:
-                continue
-            lead_inverse = pow(entries[0][1], prime - 2, prime)
-            normalized = tuple(
-                (col, coeff * lead_inverse % prime) for col, coeff in entries
-            )
-            monomial = (key >> width, key & mask)
-            out.append(ObstructionRow(chart, slot, monomial, normalized))
-    out.sort(key=row_sort_key)
-    return out
+                        buckets.setdefault(key + shift, {})[col] = coeff
+        for key, bucket in sorted(buckets.items()):
+            entries = [(col, bucket[col] % prime) for col in sorted(bucket)]
+            entries = [entry for entry in entries if entry[1]]
+            if entries:
+                inverse = pow(entries[0][1], prime - 2, prime)
+                normalized = tuple((col, c * inverse % prime) for col, c in entries)
+                monomial = (key >> width & mask, key & mask)
+                yield ObstructionRow(chart, slot, monomial, normalized)
 
 
 # -- reference dimensions and distinguished vectors -----------------------------------

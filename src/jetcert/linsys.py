@@ -1,9 +1,9 @@
 """Deterministic assembly of the GF(p) obstruction system and SMS export.
 
-The set of obstruction rows is the union over the selected charts; rows are
-sorted by their provenance ``(chart, jet slot, monomial)`` and deduplicated by
-normalized content (first occurrence wins), so the result is independent of
-chart processing order.
+The rows are the union over the selected charts.  Each chart's rows arrive
+in the canonical order of :func:`jetcert.jets.obstruction_rows`, the charts
+ascending, and are deduplicated by normalized content in arrival order
+(first occurrence wins), so the result is independent of chart order.
 
 The export format is the plain-text sparse matrix market dialect used by
 exact linear-algebra toolkits: a header ``"<nrows> <ncols> M"``, one 1-based
@@ -15,16 +15,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .conics import ConicTriple, chart_data
-from .jets import (
-    AnsatzSpace,
-    ObstructionRow,
-    expand_ansatz,
-    obstruction_rows,
-    row_sort_key,
-)
+from .jets import AnsatzSpace, ObstructionRow, expand_ansatz, obstruction_rows
 
 
 class IoFailure(Exception):
@@ -66,25 +61,25 @@ class LinearSystem:
 
 
 def merge_rows(
-    chart_rows: list[ObstructionRow], prime: int, n_vars: int, space: AnsatzSpace | None
+    rows: Iterable[ObstructionRow], prime: int, n_vars: int, space: AnsatzSpace | None
 ) -> LinearSystem:
-    """Sort, deduplicate and freeze obstruction rows into a system."""
-    ordered = sorted(chart_rows, key=row_sort_key)
-    seen: set[Row] = set()
-    rows: list[Row] = []
-    provenance: list[tuple] = []
-    for row in ordered:
-        if row.entries in seen:
-            continue
-        seen.add(row.entries)
-        rows.append(row.entries)
-        provenance.append((row.chart, row.slot, row.monomial))
+    """Freeze obstruction rows, given in canonical order, into a system.
+
+    The rows are read once and counted in ``n_rows_raw`` as they arrive; a
+    row whose entries equal an earlier row's is dropped, so the first
+    occurrence keeps its place and its provenance."""
+    first: dict[Row, tuple] = {}
+    n_rows_raw = 0
+    for row in rows:
+        n_rows_raw += 1
+        if row.entries not in first:
+            first[row.entries] = (row.chart, row.slot, row.monomial)
     return LinearSystem(
         prime=prime,
         n_vars=n_vars,
-        rows=tuple(rows),
-        n_rows_raw=len(chart_rows),
-        provenance=tuple(provenance),
+        rows=tuple(first),
+        n_rows_raw=n_rows_raw,
+        provenance=tuple(first.values()),
         space=space,
     )
 
@@ -105,12 +100,15 @@ def assemble(
     if len(set(charts)) != len(charts):
         raise ValueError("charts must be distinct")
     space = AnsatzSpace.build(m, t)
-    all_rows: list[ObstructionRow] = []
-    for chart in sorted(charts):
-        data = chart_data(triple, chart, modulus=prime)
-        expansion = expand_ansatz(data, space)
-        all_rows.extend(obstruction_rows(expansion, prime))
-    return merge_rows(all_rows, prime, space.n_vars, space)
+    # Each chart is expanded only once the previous one's rows are read,
+    # so one expansion is alive at a time.
+    rows = chain.from_iterable(
+        obstruction_rows(
+            expand_ansatz(chart_data(triple, chart, modulus=prime), space), prime
+        )
+        for chart in sorted(charts)
+    )
+    return merge_rows(rows, prime, space.n_vars, space)
 
 
 class _ValueText(dict):
@@ -151,21 +149,22 @@ def sms_checksum(system: LinearSystem) -> str:
 def import_sms(text: str, prime: int) -> LinearSystem:
     """Parse SMS text back into a system (content only, no provenance).
 
-    Every header and triple token must be ASCII decimal digits, so signs,
-    underscores and non-ASCII digits are rejected instead of read as
-    numbers that would not re-export to the same bytes."""
+    Every header and triple token must be ASCII decimal digits without a
+    leading zero, so signs, underscores, non-ASCII digits and padded
+    numbers are rejected instead of read as numbers that would not
+    re-export to the same bytes."""
     lines = text.splitlines()
     if not lines:
         raise IoFailure("empty SMS input")
     header = lines[0].split()
-    if len(header) != 3 or header[2] != "M":
+    if not (
+        lines[0].isascii()
+        and len(header) == 3
+        and header[2] == "M"
+        and all(t.isdigit() and (t == "0" or t[0] != "0") for t in header[:2])
+    ):
         raise IoFailure(f"malformed SMS header: {lines[0]!r}")
-    dims = header[:2]
-    if not (lines[0].isascii() and all(t.removeprefix("-").isdigit() for t in dims)):
-        raise IoFailure(f"malformed SMS header: {lines[0]!r}")
-    if any(t.startswith("-") for t in dims):
-        raise IoFailure("negative dimensions in SMS header")
-    n_rows, n_cols = int(dims[0]), int(dims[1])
+    n_rows, n_cols = int(header[0]), int(header[1])
     entries: dict[int, list[tuple[int, int]]] = {}
     terminated = False
     for line in lines[1:]:
@@ -177,15 +176,18 @@ def import_sms(text: str, prime: int) -> LinearSystem:
         rt, ct, vt = parts
         if not (line.isascii() and rt.isdigit() and ct.isdigit() and vt.isdigit()):
             raise IoFailure(f"malformed SMS triple: {line!r}")
+        if "0" in (rt[0], ct[0], vt[0]):
+            # Only the terminator holds a zero, and no number a leading one.
+            if parts != ["0", "0", "0"]:
+                raise IoFailure(f"malformed SMS triple: {line!r}")
+            terminated = True
+            break
         r = int(rt)
         c = int(ct)
         value = int(vt)
-        if r == 0 and c == 0 and value == 0:
-            terminated = True
-            break
-        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
+        if r > n_rows or c > n_cols:
             raise IoFailure(f"SMS entry out of range: {line!r}")
-        if not (1 <= value < prime):
+        if value >= prime:
             raise IoFailure(f"SMS value not a canonical nonzero residue: {line!r}")
         entries.setdefault(r, []).append((c - 1, value))
     if not terminated:

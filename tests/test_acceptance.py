@@ -87,11 +87,20 @@ def test_dimension_counts_for_weight_three_divisibility():
 
 GATING_PAIRS = [(3, 3), (4, 3), (4, 4), (5, 4), (5, 5)]
 EXTENDED_PAIRS = [(6, 5), (6, 6), (7, 5), (7, 7), (8, 6), (9, 7), (10, 7)]
-# The rest of the c = 5 list, with the unknown counts: minutes of assembly
-# and elimination, 1.2 GB.
+# The rest of the c = 5 list, with the unknown counts: about a minute of
+# assembly and elimination, under 1 GB.
 STRETCH_PAIRS = {(11, 8): 6840, (12, 9): 8990, (13, 9): 12550}
+CONTROL_PAIRS = [(3, 0), (4, 0), (5, 0)]
 # SHA-256 of each assembled system's SMS text (fermat, p = 5, charts z0,z2).
 SYSTEM_SHA256 = {
+    (3, 3): "1d849afc0e1cce37ac10319aaf7e9cc8f268f9790e80c6b8bac08042a0e36012",
+    (4, 3): "720d41ff92da56a6468365a0051fed5de05d40d1853206f2081bb8b92bb6d660",
+    (4, 4): "5bbc45dce98d20b5559d20573c266e07088b809bcfcd94a2ec4611d21d53097b",
+    (5, 4): "438b864627fe4bdf517d390d1c688ff81bad3216fedd00b1fe3cd3f73d001046",
+    (5, 5): "ad001faab6b73a3db2e4329c353730962e0378886f49605961b78d10e3e297b6",
+    (3, 0): "20899766ebb50909e1d0680dd4f9818dda962031c1f002c0345927716cbba2d5",
+    (4, 0): "e37e202238434d49098267bc1b0f8b220e301efc84de516e36765b546a06f46d",
+    (5, 0): "18f1f9a4b95ab2e1613a5b309e844e3bcef624d7dfeadc2c68ec4d01eecbc147",
     (6, 5): "f2a3ecc68053e623da3ea20ca2117b0c0d594091083adb2e29727bcfce5971e9",
     (6, 6): "c36762f63495211ec10af35987a937bc951460e5d14e688f41b83ebffb9fed09",
     (7, 5): "8403129719c995e14c01f7a9299b1a6b17cb253a03aea8328d1af2648a28ddfc",
@@ -113,6 +122,7 @@ def test_gating_certification(m, t):
     system = assemble(FERMAT, m, t, PRIME)
     outcome = rank_nullity(system)
     elapsed = time.perf_counter() - start
+    assert sms_checksum(system) == SYSTEM_SHA256[(m, t)]
     assert outcome.nullity == 0
     assert outcome.rank == system.n_vars
     assert outcome.rows_admitted == ROWS_ADMITTED[(m, t)] < system.n_rows
@@ -121,6 +131,16 @@ def test_gating_certification(m, t):
     # small enough for it.
     if system.n_vars <= 500:
         assert dense_rank_nullity(system) == (outcome.rank, outcome.nullity)
+
+
+@pytest.mark.parametrize("m,t", CONTROL_PAIRS)
+def test_control_system_digest(m, t):
+    assert sms_checksum(assemble(FERMAT, m, t, PRIME)) == SYSTEM_SHA256[(m, t)]
+
+
+def test_certified_pairs_cover_the_enumerated_list():
+    certified = set(GATING_PAIRS) | set(EXTENDED_PAIRS) | set(STRETCH_PAIRS)
+    assert set(exceptional_pairs(Fraction(5), 20)) <= certified
 
 
 @pytest.mark.extended
@@ -160,6 +180,10 @@ def test_stretch_certification(m, t):
     assert system.n_vars == STRETCH_PAIRS[(m, t)]
     assert outcome.nullity == 0
     assert outcome.rank == system.n_vars
+    # Rows are built and deduplicated slot by slot, so the peak is about
+    # the assembled system alone.
+    if (m, t) == (13, 9):
+        assert timings["max_rss_mb"] < 1000
 
 
 def test_negative_control_has_the_wronskian_section():

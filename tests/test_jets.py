@@ -284,7 +284,7 @@ def test_blocks_equal_the_literal_product(triple, chart, m, t):
 def test_obstruction_rows_frozen_shape():
     space = AnsatzSpace.build(3, 3)
     expansion = expand_ansatz(chart_data(FERMAT, 0), space)
-    rows = obstruction_rows(expansion, 5)
+    rows = list(obstruction_rows(expansion, 5))
     assert len(rows) == 164
     first = rows[0]
     assert (first.chart, first.slot, first.monomial) == (0, (0, 3, 0), (0, 3))
@@ -314,7 +314,7 @@ def test_integer_rows_match_modular_rows():
     space = AnsatzSpace.build(3, 3)
     over_z = expand_ansatz(chart_data(FERMAT, 0, modulus=None), space)
     over_gf = expand_ansatz(chart_data(FERMAT, 0, modulus=5), space)
-    assert obstruction_rows(over_z, 5) == obstruction_rows(over_gf, 5)
+    assert list(obstruction_rows(over_z, 5)) == list(obstruction_rows(over_gf, 5))
 
 
 def test_wronskian_vector_annihilates_every_chart():

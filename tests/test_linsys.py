@@ -85,6 +85,9 @@ def test_read_sms_rejects_undecodable_bytes(tmp_path):
         "1 2 M\n1 \u0662 1\n0 0 0\n",  # non-ASCII digit
         "+1 1 M\n1 1 1\n0 0 0\n",  # signed header
         "1 \u0661 M\n1 1 1\n0 0 0\n",  # non-ASCII digit in the header
+        "1 1 M\n01 1 1\n0 0 0\n",  # leading zero in a triple
+        "01 1 M\n1 1 1\n0 0 0\n",  # leading zero in the header
+        "1 1 M\n1 1 1\n00 0 0\n",  # leading zeros in the terminator
     ],
 )
 def test_sms_import_rejects_malformed(text):
@@ -124,7 +127,7 @@ def test_merge_rows_deduplicates_keeping_first():
     row_a = ObstructionRow(0, (0, 3, 0), (0, 1), ((0, 1), (2, 3)))
     row_b = ObstructionRow(2, (0, 3, 0), (0, 1), ((0, 1), (2, 3)))  # duplicate content
     row_c = ObstructionRow(2, (0, 3, 0), (0, 2), ((1, 1),))
-    system = merge_rows([row_c, row_b, row_a], 5, 4, None)
+    system = merge_rows([row_a, row_b, row_c], 5, 4, None)
     assert system.n_rows_raw == 3
     assert system.rows == (((0, 1), (2, 3)), ((1, 1),))
     # First occurrence in (chart, slot, monomial) order wins.
