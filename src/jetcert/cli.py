@@ -42,7 +42,7 @@ from .conics import (
     pencil_discriminant,
     salmon_determinant,
 )
-from .gflinalg import is_prime, rank_nullity
+from .gflinalg import PRIME_BOUND, is_prime, rank_nullity
 from .linsys import IoFailure, LinearSystem, assemble, sms_checksum, write_sms
 from .polynomials import MultiPoly
 from .thresholds import (
@@ -210,6 +210,8 @@ def _assemble_checked(
         raise ConfigError(f"{cfg.command} requires --m and --t")
     if cfg.m < 1 or cfg.t < 0:
         raise ConfigError("need weight m >= 1 and twist t >= 0")
+    if cfg.prime >= PRIME_BOUND:
+        raise ConfigError(f"--prime must be below 2^64, got {cfg.prime}")
     if not is_prime(cfg.prime):
         raise ConfigError(f"--prime must be prime, got {cfg.prime}")
     if len(cfg.charts) < min_charts:

@@ -169,8 +169,11 @@ class ChartData:
 
     Fields ``a, b, c`` are the three conics restricted to the chart (arity-2
     polynomials in the chart variables ``(u, v)``) and ``det`` is the 3x3
-    determinant described in the module docstring.  Partial derivatives are
-    taken by the callers that need them, with :meth:`MultiPoly.deriv`.
+    determinant ``D`` described in the module docstring.  The jet frame reads
+    ``det`` directly: the reduced Wronskian numerator carries
+    ``W = u1*v2 - v1*u2`` with the coefficient ``a*b*c^2 * D``
+    (:func:`jetcert.jets.wronskian_form`).  Partial derivatives are taken by
+    the callers that need them, with :meth:`MultiPoly.deriv`.
     """
 
     chart: int

@@ -41,6 +41,11 @@ from .linsys import LinearSystem, Row
 PivotLog = list[tuple[int, int, dict[int, int]]]
 
 
+#: :func:`is_prime` is exact below this bound, so no modulus at or above it
+#: is accepted.
+PRIME_BOUND = 1 << 64
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n < 2**64."""
     if n < 2:
@@ -84,6 +89,8 @@ class EliminationResult:
 
 
 def _check_system(system: LinearSystem) -> None:
+    if system.prime >= PRIME_BOUND:
+        raise ValueError(f"modulus {system.prime} is not below 2^64")
     if not is_prime(system.prime):
         raise ValueError(f"modulus {system.prime} is not prime")
 

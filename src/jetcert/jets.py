@@ -4,21 +4,28 @@ Pipeline on one affine chart with coordinates ``(u, v)`` and dehomogenized
 conics ``a, b, c``:
 
 1.  First- and second-order log-derivative numerators (:func:`log_jet_forms`):
-    with ``a' = a_u*u1 + a_v*v1`` and
-    ``a'' = a_u*u2 + a_v*v2 + a_uu*u1^2 + 2*a_uv*u1*v1 + a_vv*v1^2``,
+    with ``a' = a_u*u1 + a_v*v1`` and ``a'' = a° + a_uu*u1^2 +
+    2*a_uv*u1*v1 + a_vv*v1^2``, where ``a° = a_u*u2 + a_v*v2``,
 
     * ``alpha  = a'*c - c'*a``                 (denominator ``a*c``),
     * ``gamma_a = (a''*a - a'^2)*c^2 - (c''*c - c'^2)*a^2``  (denominator ``a^2*c^2``),
 
-    and ``beta``/``gamma_b`` with ``b`` in place of ``a``.
+    and ``beta``/``gamma_b`` with ``b`` in place of ``a``.  Only ``alpha``,
+    ``beta`` and the 2-jet numerators at ``u2 = v2 = 0`` are built.
 2.  The 2-jet Wronskian numerator (:func:`wronskian_form`)
-    ``L~ = alpha*gamma_b*a - gamma_a*beta*b`` over ``a^2*b^2*c^3``.  It is
-    linear in ``(u2, v2)`` and depends on them only through
-    ``W = u1*v2 - v1*u2``; eliminating ``(u2, v2)`` in favor of ``W`` (one
-    exact division by ``u1``) gives the reduced five-variable form on
-    ``(u, v, u1, v1, W)``.  The ``W``-coefficient equals ``a*b*c^2 * D``
-    (``D`` the chart determinant), which ties the jet frame to the chart
-    geometry and is asserted in the tests.
+    ``L~ = alpha*gamma_b*a - gamma_a*beta*b`` over ``a^2*b^2*c^3``.  The
+    ``(u2, v2)``-part of ``gamma_a`` is ``a*c*(a°*c - c°*a)``, so that of
+    ``L~`` is
+    ``a*b*c*[alpha*(b°*c - c°*b) - beta*(a°*c - c°*a)]
+    = a*b*c^2 * det[[a, b, c], [a', b', c'], [a°, b°, c°]] = a*b*c^2 * D * W``,
+    where ``D`` is the chart determinant and ``W = u1*v2 - v1*u2``: the
+    determinant is bilinear in its last two rows, which are
+    ``u1*grad_u + v1*grad_v`` and ``u2*grad_u + v2*grad_v``.  So ``L~``
+    sees the second-order jet only through ``W``, for any three conics, and
+    its reduced form on ``(u, v, u1, v1, W)`` is the closed form
+    ``L~_red = L~|(u2=v2=0) + a*b*c^2 * D * W``.  No frame polynomial
+    carries ``u2`` or ``v2``; the tests derive ``L~`` in six variables and
+    eliminate them through ``W`` on their own, as the reference.
 3.  Ansatz bookkeeping (:class:`AnsatzSpace`): one unknown per
     ``(stratum w, split k, degree-d_w monomial)`` with ``d_w = 3*(m-2w) - t``;
     stratum ``w`` contributes iff ``d_w >= 0`` (for ``t > 3m`` no stratum
@@ -70,15 +77,15 @@ from math import comb
 from typing import Iterator, NamedTuple
 
 from .conics import CHART_AXES, ChartData
-from .polynomials import MultiPoly, exact_div
+from .polynomials import MultiPoly
 
-# Variable layout of the frame stage: (u, v, u1, v1, u2, v2).
-_U, _V, _U1, _V1, _U2, _V2 = range(6)
+# Variable layout of the frame stage: (u, v, u1, v1, W).
+_U1, _V1, _W = 2, 3, 4
 
 
 class ResidualSecondDerivative(Exception):
-    """Raised when eliminating the second-order jet variables leaves a
-    residual — an implementation fault, never a property of legal input."""
+    """Raised when an expansion block breaks the weighted homogeneity of the
+    jet frame — an implementation fault, never a property of legal input."""
 
 
 # -- frame construction ---------------------------------------------------------------
@@ -87,8 +94,13 @@ class ResidualSecondDerivative(Exception):
 @dataclass(frozen=True)
 class LogJetForms:
     """Numerators of the chart's log-derivative 1- and 2-jets, as polynomials
-    in ``(u, v, u1, v1, u2, v2)``.  Their denominators ``a*c``, ``b*c``,
-    ``a^2*c^2`` and ``b^2*c^2`` are never expanded."""
+    in ``(u, v, u1, v1, W)`` free of ``W``.
+
+    ``alpha`` and ``beta`` are the whole 1-jet numerators.  ``gamma_a`` and
+    ``gamma_b`` are the 2-jet numerators at ``u2 = v2 = 0``; their
+    ``(u2, v2)``-parts enter the Wronskian only through ``W`` (module
+    docstring, step 2).  The denominators ``a*c``, ``b*c``, ``a^2*c^2`` and
+    ``b^2*c^2`` are never expanded."""
 
     alpha: MultiPoly
     beta: MultiPoly
@@ -98,38 +110,27 @@ class LogJetForms:
 
 def _lift(poly: MultiPoly) -> MultiPoly:
     """A chart polynomial in ``(u, v)`` as a polynomial of the frame stage."""
-    return poly.embed(6, (_U, _V))
-
-
-def _first_derivative(f: MultiPoly) -> MultiPoly:
-    """``f' = f_u*u1 + f_v*v1`` for a chart polynomial ``f``."""
-    u1 = MultiPoly.variable(6, _U1, f.modulus)
-    v1 = MultiPoly.variable(6, _V1, f.modulus)
-    return _lift(f.deriv(0)) * u1 + _lift(f.deriv(1)) * v1
-
-
-def _second_derivative(f: MultiPoly) -> MultiPoly:
-    """``f'' = f_u*u2 + f_v*v2 + f_uu*u1^2 + 2*f_uv*u1*v1 + f_vv*v1^2``."""
-    modulus = f.modulus
-    u1 = MultiPoly.variable(6, _U1, modulus)
-    v1 = MultiPoly.variable(6, _V1, modulus)
-    u2 = MultiPoly.variable(6, _U2, modulus)
-    v2 = MultiPoly.variable(6, _V2, modulus)
-    f_u, f_v = f.deriv(0), f.deriv(1)
-    return (
-        _lift(f_u) * u2
-        + _lift(f_v) * v2
-        + _lift(f_u.deriv(0)) * u1 * u1
-        + _lift(f_u.deriv(1)) * u1 * v1 * 2
-        + _lift(f_v.deriv(1)) * v1 * v1
-    )
+    return poly.embed(5, (0, 1))
 
 
 def log_jet_forms(data: ChartData) -> LogJetForms:
-    """First- and second-order numerators of ``d log(a/c)`` and ``d log(b/c)``."""
-    a, b, c = (_lift(q) for q in (data.a, data.b, data.c))
-    a1, b1, c1 = (_first_derivative(q) for q in (data.a, data.b, data.c))
-    a2, b2, c2 = (_second_derivative(q) for q in (data.a, data.b, data.c))
+    """First- and second-order numerators of ``d log(a/c)`` and ``d log(b/c)``,
+    the latter at ``u2 = v2 = 0``."""
+    modulus = data.a.modulus
+    u1 = MultiPoly.variable(5, _U1, modulus)
+    v1 = MultiPoly.variable(5, _V1, modulus)
+    frame = []
+    for f in (data.a, data.b, data.c):
+        f_u, f_v = f.deriv(0), f.deriv(1)
+        first = _lift(f_u) * u1 + _lift(f_v) * v1
+        # f'' without its part f_u*u2 + f_v*v2.
+        second = (
+            _lift(f_u.deriv(0)) * u1 * u1
+            + _lift(f_u.deriv(1)) * u1 * v1 * 2
+            + _lift(f_v.deriv(1)) * v1 * v1
+        )
+        frame.append((_lift(f), first, second))
+    (a, a1, a2), (b, b1, b2), (c, c1, c2) = frame
     alpha = a1 * c - c1 * a
     beta = b1 * c - c1 * b
     gamma_a = (a2 * a - a1 * a1) * c * c - (c2 * c - c1 * c1) * a * a
@@ -139,65 +140,31 @@ def log_jet_forms(data: ChartData) -> LogJetForms:
 
 @dataclass(frozen=True)
 class WronskianForm:
-    """The 2-jet Wronskian numerator over ``a^2*b^2*c^3``.
+    """The reduced 2-jet Wronskian numerator over ``a^2*b^2*c^3``.
 
-    ``tilde`` lives in ``(u, v, u1, v1, u2, v2)``; ``reduced`` is the
-    equivalent five-variable form on ``(u, v, u1, v1, W)`` after the
-    second-order variables are eliminated through ``W = u1*v2 - v1*u2``;
-    ``w_coefficient`` is the bivariate coefficient of ``W`` (equal to
-    ``a*b*c^2 * D``); ``forms`` are the log-jet numerators it was built from,
-    kept so that the chart's frame is derived once."""
+    ``reduced`` is ``L~_red`` on ``(u, v, u1, v1, W)``, linear in ``W``;
+    ``w_coefficient`` is its bivariate ``W``-coefficient ``a*b*c^2 * D``;
+    ``forms`` are the log-jet numerators it was built from, kept so that the
+    chart's frame is derived once."""
 
-    tilde: MultiPoly
     reduced: MultiPoly
     w_coefficient: MultiPoly
     forms: LogJetForms
 
 
-def _drop_second_order(poly: MultiPoly) -> MultiPoly:
-    """Project a six-variable polynomial without ``u2, v2`` dependence down to
-    ``(u, v, u1, v1)``."""
-    if poly.degree_in(_U2) > 0 or poly.degree_in(_V2) > 0:
-        raise ResidualSecondDerivative(
-            "unexpected second-order jet variable in a first-order form"
-        )
-    grouped = poly.coefficient_map((_U2, _V2))
-    return grouped.get((0, 0), MultiPoly.zero(4, poly.modulus))
-
-
 def wronskian_form(data: ChartData) -> WronskianForm:
-    """Build the Wronskian numerator and eliminate ``(u2, v2)`` through ``W``."""
+    """``L~_red = alpha*gamma_b*a - gamma_a*beta*b + a*b*c^2*D*W``, in closed
+    form from the chart determinant ``D`` (module docstring, step 2)."""
     forms = log_jet_forms(data)
     a, b = _lift(data.a), _lift(data.b)
-    tilde = forms.alpha * forms.gamma_b * a - forms.gamma_a * forms.beta * b
-    parts = tilde.coefficient_map((_U2, _V2))
-    for pattern in parts:
-        if sum(pattern) > 1:
-            raise ResidualSecondDerivative(
-                f"Wronskian numerator is not linear in (u2, v2): {pattern}"
-            )
-    modulus = tilde.modulus
-    zero4 = MultiPoly.zero(4, modulus)
-    lam0 = parts.get((0, 0), zero4)
-    lam_u2 = parts.get((1, 0), zero4)
-    lam_v2 = parts.get((0, 1), zero4)
-    # Structural identity: the (u2, v2)-part is a multiple of u1*v2 - v1*u2.
-    u1_4 = MultiPoly.variable(4, 2, modulus)
-    v1_4 = MultiPoly.variable(4, 3, modulus)
-    if not (lam_u2 * u1_4 + lam_v2 * v1_4).is_zero:
-        raise ResidualSecondDerivative(
-            "second-order dependence is not a pure rotation-invariant term"
-        )
-    w_coeff4 = exact_div(lam_v2, u1_4)  # divisibility is structural
-    w_var = MultiPoly.variable(5, 4, modulus)
-    reduced = lam0.embed(5, (0, 1, 2, 3)) + w_coeff4.embed(5, (0, 1, 2, 3)) * w_var
-    grouped = w_coeff4.coefficient_map((2, 3))
-    w_coeff2 = grouped.get((0, 0), MultiPoly.zero(2, modulus))
-    if set(grouped) - {(0, 0)}:
-        raise ResidualSecondDerivative("W-coefficient should be jet-free")
-    return WronskianForm(
-        tilde=tilde, reduced=reduced, w_coefficient=w_coeff2, forms=forms
+    w_coefficient = data.a * data.b * data.c * data.c * data.det
+    w_var = MultiPoly.variable(5, _W, data.a.modulus)
+    reduced = (
+        forms.alpha * forms.gamma_b * a
+        - forms.gamma_a * forms.beta * b
+        + _lift(w_coefficient) * w_var
     )
+    return WronskianForm(reduced=reduced, w_coefficient=w_coefficient, forms=forms)
 
 
 # -- ansatz bookkeeping -----------------------------------------------------------------
@@ -327,58 +294,12 @@ def _powers(base: MultiPoly, top: int, m: int) -> list[MultiPoly]:
     return out
 
 
-def full_block(
-    data: ChartData, m: int, w: int, k: int
-) -> dict[tuple[int, int, int], MultiPoly]:
-    """Block ``B_{w,k}`` in the jet-slot form of ``JetExpansion.blocks``,
-    computed without the shortcut of :func:`expand_ansatz`.
-
-    The Wronskian power keeps its full ``(u2, v2)`` dependence; both
-    second-order variables are then eliminated jointly through ``W`` and
-    nothing residual may survive.  This is the independent reference for the
-    expansion, much slower than it and meant for tests at small ``m``; the
-    certifier never calls it."""
-    wf = wronskian_form(data)
-    forms = wf.forms
-    modulus = data.a.modulus
-    uv = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
-    # Work in (u, v, u1, v1, u2, v2, W).
-    lift6 = lambda p: p.embed(7, (0, 1, 2, 3, 4, 5))  # noqa: E731
-    lift2 = lambda p: p.embed(7, (0, 1))  # noqa: E731
-    product = lift6(forms.alpha ** (m - 3 * w - k) * forms.beta**k * wf.tilde**w)
-    product = product * lift2(
-        (data.a ** (w + k)) * (data.b ** (m - 2 * w - k)) * (uv ** (2 * w))
-    )
-    # Substitute v2 = (W + u2*v1)/u1, cleared by u1^w.
-    by_v2 = product.coefficient_map((5,))
-    u1 = MultiPoly.variable(7, 2, modulus)
-    v1 = MultiPoly.variable(7, 3, modulus)
-    u2 = MultiPoly.variable(7, 4, modulus)
-    w_var = MultiPoly.variable(7, 6, modulus)
-    replaced = MultiPoly.zero(7, modulus)
-    for (d,), coeff in by_v2.items():
-        if d > w:
-            raise ResidualSecondDerivative("v2-degree exceeds the stratum power")
-        replaced = replaced + coeff.embed(
-            7, (0, 1, 2, 3, 4, 6)
-        ) * (w_var + u2 * v1) ** d * u1 ** (w - d)
-    if replaced.degree_in(4) > 0:
-        raise ResidualSecondDerivative(
-            "second-order variable survived the Wronskian elimination"
-        )
-    collapsed = replaced.coefficient_map((4, 5)).get(
-        (0, 0), MultiPoly.zero(5, modulus)
-    )
-    block = exact_div(collapsed, MultiPoly.variable(5, 2, modulus) ** w)
-    return block.coefficient_map((2, 3, 4))
-
-
 def expand_ansatz(
     data: ChartData, space: AnsatzSpace, *, parallel: bool = False
 ) -> JetExpansion:
     """Expand every ansatz block on one chart into jet-slot form.
 
-    The second-order variables ``(u2, v2)`` are eliminated once, inside
+    The reduced Wronskian numerator comes in closed form from
     :func:`wronskian_form`, which also yields the chart's log-jet forms.
     Each block is then the exact product
     ``B_{w,k} = C_w * X^(n-k) * Y^k`` (``n = m - 3w``, ``X = alpha*b``,
@@ -386,31 +307,27 @@ def expand_ansatz(
     ``X``, ``Y`` and ``C_1`` are computed once per chart and shared by all
     strata, so the expansion performs multiplications only, never a
     division.  Factors, powers and partial products are all kept modulo
-    ``u^m * v^m`` (see the module docstring).  :func:`full_block` recomputes
-    any full block the slow way, as a reference for the tests.
+    ``u^m * v^m`` (see the module docstring).  The tests recompute every
+    block from the six-variable ``L~`` the slow way, as a reference.
 
     ``parallel`` is ignored.  The expansion is always serial; the keyword is
     kept only because the benchmark's traced replay (``perfbench/traced.py``)
     still passes it."""
     m = space.m
     modulus = data.a.modulus
-    a2, b2 = data.a, data.b
-    uv2 = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
+    uv = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
     wf = wronskian_form(data)
-    alpha5 = _drop_second_order(wf.forms.alpha).embed(5, (0, 1, 2, 3))
-    beta5 = _drop_second_order(wf.forms.beta).embed(5, (0, 1, 2, 3))
     max_w = max((w for w, _ in space.strata), default=0)
-    lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
-    x_pows = _powers(alpha5 * lift(b2), m, m)
-    y_pows = _powers(beta5 * lift(a2), m, m)
-    c_pows = _powers(wf.reduced * lift(a2 * b2 * uv2 * uv2), max_w, m)
+    x_pows = _powers(wf.forms.alpha * _lift(data.b), m, m)
+    y_pows = _powers(wf.forms.beta * _lift(data.a), m, m)
+    c_pows = _powers(wf.reduced * _lift(data.a * data.b * uv * uv), max_w, m)
 
     blocks: dict[tuple[int, int], dict[tuple[int, int, int], MultiPoly]] = {}
     for w, _ in space.strata:
         for k in range(m - 3 * w + 1):
             poly = _below(c_pows[w] * x_pows[m - 3 * w - k], m)
             poly = _below(poly * y_pows[k], m)
-            slot_map = poly.coefficient_map((2, 3, 4))
+            slot_map = poly.coefficient_map((_U1, _V1, _W))
             for (i, j, kk) in slot_map:
                 if i + j + 3 * kk != m:
                     raise ResidualSecondDerivative(
@@ -472,6 +389,11 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[ObstructionRow]:
     pack = lambda u, v: (u + v) << 2 * width | u << width | v  # noqa: E731
     mask = (1 << width) - 1
 
+    # A chart's rows hold at most n_vars * (p - 1) distinct (column,
+    # coefficient) pairs, at small p far fewer than their nonzeros, so every
+    # row holds the one shared tuple of each of its pairs.
+    share = {}.setdefault
+
     # slot -> the blocks' polynomials in it, each with its block's unknowns:
     # their columns, the divisibility bounds left after their chart shifts,
     # and those shifts packed.
@@ -501,9 +423,9 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[ObstructionRow]:
             entries = [entry for entry in entries if entry[1]]
             if entries:
                 inverse = pow(entries[0][1], prime - 2, prime)
-                normalized = tuple((col, c * inverse % prime) for col, c in entries)
+                pairs = [(col, c * inverse % prime) for col, c in entries]
                 monomial = (key >> width & mask, key & mask)
-                yield ObstructionRow(chart, slot, monomial, normalized)
+                yield ObstructionRow(chart, slot, monomial, tuple(map(share, pairs, pairs)))
 
 
 # -- reference dimensions and distinguished vectors -----------------------------------

@@ -8,18 +8,16 @@ Design points:
   ``arity`` (number of variables) and a ``modulus``.  ``modulus=None``
   means exact integer or rational (``fractions.Fraction``) coefficients; a
   prime ``p`` means GF(p) with canonical representatives ``0..p-1``.  Zero
-  coefficients are never stored.  :func:`exact_div` and
-  :meth:`MultiPoly.reduce_mod` need integer coefficients when
-  ``modulus=None``.
+  coefficients are never stored.  :meth:`MultiPoly.reduce_mod` needs
+  integer coefficients.
 * Products pack each exponent tuple into one int with a field of equal
   width per variable, wide enough for the sum of the two operands' largest
   exponents, so adding two packed keys adds the exponent tuples without a
   carry between fields.  Keys are unpacked once per output term; ``terms``
   keeps tuple keys.  (Monagan & Pearce, "Polynomial division using dynamic
   arrays, heaps, and packed exponent vectors", CASC 2007.)
-* Division is by a monomial only: :func:`exact_div` takes a single-term
-  divisor and divides term by term.  The jet pipeline divides by powers of
-  one jet variable and never needs general polynomial division.
+* There is no polynomial division: the jet pipeline builds every polynomial it needs
+  from sums and products (``jets`` module docstring, steps 2 and 4).
 * There is deliberately no rational-function type: denominators in the jet
   pipeline are tracked as explicit exponent bookkeeping by the callers.
 """
@@ -32,17 +30,6 @@ from typing import Iterable, Mapping
 
 class RingMismatch(Exception):
     """Raised when two operands live over different coefficient rings."""
-
-
-class NonDivisible(Exception):
-    """Raised by :func:`exact_div` when the division leaves a remainder.
-
-    The offending remainder is attached as ``remainder`` for diagnostics.
-    """
-
-    def __init__(self, message: str, remainder: "MultiPoly | None" = None):
-        super().__init__(message)
-        self.remainder = remainder
 
 
 class MultiPoly:
@@ -343,11 +330,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
     def coefficient_map(
         self, variables: tuple[int, ...]
     ) -> dict[tuple[int, ...], "MultiPoly"]:
@@ -380,44 +362,6 @@ def _pack(exps: tuple[int, ...], width: int) -> int:
 
 
 # -- free functions mirroring the public contract --------------------------------
-
-
-def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Exact quotient ``f / g`` by a single-term divisor ``g``; raises
-    :class:`NonDivisible` with the remainder attached when ``g`` does not
-    divide ``f``, and :class:`ValueError` when ``g`` has more than one term.
-
-    Each term of ``f`` is divided on its own.  Over GF(p) coefficients divide
-    freely; over ZZ a coefficient that is not an exact multiple sends the term
-    to the remainder, as does a term the monomial of ``g`` does not divide.
-    """
-    f._check_compatible(g)
-    if g.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if len(g.terms) != 1:
-        raise ValueError("exact_div divides by a single-term divisor only")
-    p = f.modulus
-    ((g_exps, g_coeff),) = g.terms.items()
-    if p is not None:
-        g_inv = pow(g_coeff, p - 2, p)
-    quotient: dict[tuple[int, ...], int] = {}
-    remainder: dict[tuple[int, ...], int] = {}
-    for exps, coeff in f.terms.items():
-        diff = tuple(a - b for a, b in zip(exps, g_exps))
-        if min(diff, default=0) < 0:
-            remainder[exps] = coeff
-        elif p is not None:
-            quotient[diff] = coeff * g_inv % p
-        else:
-            q, rem = divmod(coeff, g_coeff)
-            if rem:
-                remainder[exps] = coeff
-            else:
-                quotient[diff] = q
-    if remainder:
-        rem_poly = MultiPoly._make(f.arity, remainder, p)
-        raise NonDivisible("polynomial division left a remainder", rem_poly)
-    return MultiPoly._make(f.arity, quotient, p)
 
 
 def evaluate_fraction(f: MultiPoly, values: Iterable[Fraction]) -> Fraction:

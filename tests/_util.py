@@ -1,11 +1,13 @@
-"""Shared helpers for the test suite (seeded-random generators, tiny oracles)."""
+"""Shared helpers for the test suite (seeded-random generators, tiny oracles,
+and the six-variable reference for the jet frame)."""
 
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from jetcert.conics import ChartData
-from jetcert.jets import AnsatzSpace, full_block
+from jetcert.jets import AnsatzSpace
 from jetcert.polynomials import MultiPoly
 
 
@@ -27,9 +29,179 @@ def random_poly(
     return MultiPoly(arity, terms, modulus)
 
 
+# -- the six-variable reference for the jet frame ---------------------------------
+#
+# Built from ``ChartData`` and ``MultiPoly`` alone, in the variables
+# (u, v, u1, v1, u2, v2): the whole log-jet numerators, the Wronskian
+# numerator L~ with its full (u2, v2) dependence, and the elimination of
+# (u2, v2) through W = u1*v2 - v1*u2.  It shares no code with
+# ``jetcert.jets`` and is much slower than the certifier's closed form.
+
+
+class NonDivisible(Exception):
+    """Raised by :func:`exact_div` when the division leaves a remainder.
+
+    The offending remainder is attached as ``remainder`` for diagnostics.
+    """
+
+    def __init__(self, message: str, remainder: MultiPoly | None = None):
+        super().__init__(message)
+        self.remainder = remainder
+
+
+def exact_div(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """Exact quotient ``f / g`` by a single-term divisor ``g``; raises
+    :class:`NonDivisible` with the remainder attached when ``g`` does not
+    divide ``f``, and :class:`ValueError` when ``g`` has more than one term.
+
+    Each term of ``f`` is divided on its own.  Over GF(p) coefficients divide
+    freely; over ZZ a coefficient that is not an exact multiple sends the term
+    to the remainder, as does a term the monomial of ``g`` does not divide.
+    """
+    f._check_compatible(g)
+    if g.is_zero:
+        raise ZeroDivisionError("division by the zero polynomial")
+    if len(g.terms) != 1:
+        raise ValueError("exact_div divides by a single-term divisor only")
+    p = f.modulus
+    ((g_exps, g_coeff),) = g.terms.items()
+    if p is not None:
+        g_inv = pow(g_coeff, p - 2, p)
+    quotient: dict[tuple[int, ...], int] = {}
+    remainder: dict[tuple[int, ...], int] = {}
+    for exps, coeff in f.terms.items():
+        diff = tuple(a - b for a, b in zip(exps, g_exps))
+        if min(diff, default=0) < 0:
+            remainder[exps] = coeff
+        elif p is not None:
+            quotient[diff] = coeff * g_inv % p
+        else:
+            q, rem = divmod(coeff, g_coeff)
+            if rem:
+                remainder[exps] = coeff
+            else:
+                quotient[diff] = q
+    if remainder:
+        rem_poly = MultiPoly(f.arity, remainder, p)
+        raise NonDivisible("polynomial division left a remainder", rem_poly)
+    return MultiPoly(f.arity, quotient, p)
+
+
+def degree_in(poly: MultiPoly, var: int) -> int:
+    """The largest exponent of variable ``var`` (-1 for the zero polynomial)."""
+    return max((e[var] for e in poly.terms), default=-1)
+
+
+class ReferenceForms(NamedTuple):
+    """The whole log-jet numerators on ``(u, v, u1, v1, u2, v2)``."""
+
+    alpha: MultiPoly
+    beta: MultiPoly
+    gamma_a: MultiPoly
+    gamma_b: MultiPoly
+
+
+def reference_forms(data: ChartData) -> ReferenceForms:
+    """``alpha = a'c - c'a`` and ``gamma_a = (a''a - a'^2)c^2 - (c''c - c'^2)a^2``,
+    with ``beta``, ``gamma_b`` likewise, where ``f' = f_u*u1 + f_v*v1`` and
+    ``f'' = f_u*u2 + f_v*v2 + f_uu*u1^2 + 2*f_uv*u1*v1 + f_vv*v1^2``."""
+    modulus = data.a.modulus
+    u1, v1, u2, v2 = (MultiPoly.variable(6, i, modulus) for i in (2, 3, 4, 5))
+    lift = lambda p: p.embed(6, (0, 1))  # noqa: E731
+    jets = []
+    for f in (data.a, data.b, data.c):
+        f_u, f_v = f.deriv(0), f.deriv(1)
+        first = lift(f_u) * u1 + lift(f_v) * v1
+        second = (
+            lift(f_u) * u2 + lift(f_v) * v2
+            + lift(f_u.deriv(0)) * u1 * u1
+            + lift(f_u.deriv(1)) * u1 * v1 * 2
+            + lift(f_v.deriv(1)) * v1 * v1
+        )
+        jets.append((lift(f), first, second))
+    (a, a1, a2), (b, b1, b2), (c, c1, c2) = jets
+    return ReferenceForms(
+        alpha=a1 * c - c1 * a,
+        beta=b1 * c - c1 * b,
+        gamma_a=(a2 * a - a1 * a1) * c * c - (c2 * c - c1 * c1) * a * a,
+        gamma_b=(b2 * b - b1 * b1) * c * c - (c2 * c - c1 * c1) * b * b,
+    )
+
+
+def reference_tilde(data: ChartData) -> MultiPoly:
+    """``L~ = alpha*gamma_b*a - gamma_a*beta*b`` on ``(u, v, u1, v1, u2, v2)``."""
+    forms = reference_forms(data)
+    a, b = (q.embed(6, (0, 1)) for q in (data.a, data.b))
+    return forms.alpha * forms.gamma_b * a - forms.gamma_a * forms.beta * b
+
+
+def reference_reduced(data: ChartData) -> MultiPoly:
+    """``L~`` with ``(u2, v2)`` eliminated through ``W``, on
+    ``(u, v, u1, v1, W)``: ``L~`` must be linear in ``(u2, v2)``, with a
+    ``(u2, v2)``-part that ``u1*v2 - v1*u2`` divides exactly."""
+    tilde = reference_tilde(data)
+    modulus = tilde.modulus
+    parts = tilde.coefficient_map((4, 5))
+    if any(sum(pattern) > 1 for pattern in parts):
+        raise AssertionError(f"L~ is not linear in (u2, v2): {sorted(parts)}")
+    zero4 = MultiPoly.zero(4, modulus)
+    lam_u2 = parts.get((1, 0), zero4)
+    lam_v2 = parts.get((0, 1), zero4)
+    u1, v1 = MultiPoly.variable(4, 2, modulus), MultiPoly.variable(4, 3, modulus)
+    if not (lam_u2 * u1 + lam_v2 * v1).is_zero:
+        raise AssertionError("the (u2, v2)-part of L~ is not a multiple of W")
+    w_coefficient = exact_div(lam_v2, u1)
+    lift = lambda p: p.embed(5, (0, 1, 2, 3))  # noqa: E731
+    w_var = MultiPoly.variable(5, 4, modulus)
+    return lift(parts.get((0, 0), zero4)) + lift(w_coefficient) * w_var
+
+
+def full_block(
+    data: ChartData, m: int, w: int, k: int
+) -> dict[tuple[int, int, int], MultiPoly]:
+    """Block ``B_{w,k}`` in the jet-slot form of ``JetExpansion.blocks``,
+    with nothing cut modulo ``u^m * v^m``.
+
+    The Wronskian power keeps its full ``(u2, v2)`` dependence; both
+    second-order variables are then eliminated jointly through ``W`` and
+    nothing residual may survive."""
+    forms = reference_forms(data)
+    modulus = data.a.modulus
+    uv = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
+    # Work in (u, v, u1, v1, u2, v2, W).
+    lift6 = lambda p: p.embed(7, (0, 1, 2, 3, 4, 5))  # noqa: E731
+    lift2 = lambda p: p.embed(7, (0, 1))  # noqa: E731
+    product = lift6(
+        forms.alpha ** (m - 3 * w - k) * forms.beta**k * reference_tilde(data) ** w
+    )
+    product = product * lift2(
+        (data.a ** (w + k)) * (data.b ** (m - 2 * w - k)) * (uv ** (2 * w))
+    )
+    # Substitute v2 = (W + u2*v1)/u1, cleared by u1^w.
+    by_v2 = product.coefficient_map((5,))
+    u1 = MultiPoly.variable(7, 2, modulus)
+    v1 = MultiPoly.variable(7, 3, modulus)
+    u2 = MultiPoly.variable(7, 4, modulus)
+    w_var = MultiPoly.variable(7, 6, modulus)
+    replaced = MultiPoly.zero(7, modulus)
+    for (d,), coeff in by_v2.items():
+        if d > w:
+            raise AssertionError("v2-degree exceeds the stratum power")
+        replaced = replaced + coeff.embed(
+            7, (0, 1, 2, 3, 4, 6)
+        ) * (w_var + u2 * v1) ** d * u1 ** (w - d)
+    if degree_in(replaced, 4) > 0:
+        raise AssertionError("u2 survived the Wronskian elimination")
+    collapsed = replaced.coefficient_map((4, 5)).get(
+        (0, 0), MultiPoly.zero(5, modulus)
+    )
+    block = exact_div(collapsed, MultiPoly.variable(5, 2, modulus) ** w)
+    return block.coefficient_map((2, 3, 4))
+
+
 def reference_blocks(data: ChartData, space: AnsatzSpace) -> dict:
     """Every ansatz block on one chart, each derived on its own by
-    :func:`jetcert.jets.full_block`, keyed like ``JetExpansion.blocks``."""
+    :func:`full_block`, keyed like ``JetExpansion.blocks``."""
     m = space.m
     return {
         (w, k): full_block(data, m, w, k)

@@ -104,6 +104,19 @@ def test_config_errors_exit_two(capsys, tmp_path, monkeypatch, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "prime", [318665857834031151167461, 2**89 - 1], ids=["composite", "mersenne-89"]
+)
+def test_prime_at_or_above_two_to_the_64_exits_two(capsys, prime):
+    """The primality test is exact only below 2^64, and the composite here
+    passes it; neither it nor the prime 2^89 - 1 reaches the elimination."""
+    code, out, err = run_cli(capsys, "verify", "--m", "3", "--t", "0",
+                             "--prime", str(prime))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "below 2^64" in err
+
+
 DOUBLE_LINES = [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]
 REPEATED = [[2, 1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [-4, -2, -2, 0, 0, 0]]
 # Conics 1 and 2 meet only at [1:0:0], with multiplicity four.

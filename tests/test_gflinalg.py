@@ -156,6 +156,19 @@ def test_rejects_composite_modulus():
         rank_nullity(system)
 
 
+# is_prime is exact only below 2^64: the composite
+# 318665857834031151167461 = 399165290221 * 798330580441 passes all twelve
+# of its bases, so no modulus from 2^64 up is accepted, prime or not.
+@pytest.mark.parametrize(
+    "prime", [318665857834031151167461, 2**89 - 1], ids=["composite", "mersenne-89"]
+)
+def test_rejects_modulus_at_or_above_two_to_the_64(prime):
+    system = LinearSystem(prime=prime, n_vars=1, rows=(((0, 1),),))
+    for run in (rank_nullity, nullspace_basis, dense_rank_nullity):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            run(system)
+
+
 def test_alternate_prime_certifies_small_instance():
     """The certificate is not tied to the default prime."""
     system = assemble(FERMAT, 3, 3, 7)

@@ -2,20 +2,24 @@
 
 The centerpiece is an independent oracle: substitute an explicit polynomial
 curve z -> (u(z), v(z)) into the chart functions and differentiate the
-composites directly in z.  The jet forms, built by chain rule over formal jet
-variables, must agree with quotient-rule numerators computed from those
-composites.  This checks alpha/beta/gamma and the Wronskian numerator without
-reusing any of the chain-rule code under test.
+composites directly in z.  The six-variable reference of ``_util`` (the
+whole log-jet forms, built by chain rule over formal jet variables, and the
+Wronskian numerator ``L~``) must agree with quotient-rule numerators computed
+from those composites, and so must the certifier's closed-form reduced
+numerator, evaluated at ``W = u1*v2 - v1*u2`` along the curve.  The
+reference then checks the closed form on random triples and the expansion
+blocks by eliminating ``(u2, v2)`` on its own.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
-from jetcert.conics import CHART_AXES, PRESET_TRIPLES, chart_data
+from jetcert.conics import CHART_AXES, PRESET_TRIPLES, Conic, ConicTriple, chart_data
 from jetcert.jets import (
     AnsatzIndex,
     AnsatzSpace,
@@ -31,91 +35,144 @@ from jetcert.jets import (
 )
 from jetcert.polynomials import MultiPoly, evaluate_fraction
 
-from _util import reduce_blocks, reference_blocks
+from _util import (
+    reduce_blocks,
+    reference_blocks,
+    reference_forms,
+    reference_reduced,
+    reference_tilde,
+)
 
 FERMAT = PRESET_TRIPLES["fermat"]
 CASE72 = PRESET_TRIPLES["case72"]
 
 
-def _curve_pair():
-    """An explicit integer-coefficient curve z -> (u(z), v(z))."""
+class _Curve(NamedTuple):
+    """Jet values and quotient-rule numerators along the explicit curve."""
+
+    jets6: list  # (u, v, u1, v1, u2, v2)
+    jets5: list  # (u, v, u1, v1, W)
+    a: MultiPoly
+    b: MultiPoly
+    f_num: MultiPoly
+    g_num: MultiPoly
+    f_prime: MultiPoly
+    g_prime: MultiPoly
+
+
+def _along_curve(data) -> _Curve:
+    """The chart's conics along z -> (1 + z + 2z^3, 1 - z + z^2), with the
+    numerators of (log a/c)', (log b/c)' and of their derivatives."""
     z = MultiPoly.variable(1, 0, None)
     one = MultiPoly.constant(1, 1, None)
     u_poly = one + z + z * z * z * 2
     v_poly = one - z + z * z
-    return u_poly, v_poly
-
-
-def test_jet_forms_match_composite_differentiation():
-    """Chain-rule jet numerators agree with direct d/dz of the composites."""
-    for preset in (FERMAT, CASE72):
-        for chart in (0, 1, 2):
-            data = chart_data(preset, chart)
-            u_poly, v_poly = _curve_pair()
-            du, dv = u_poly.deriv(0), v_poly.deriv(0)
-            jets = [u_poly, v_poly, du, dv, du.deriv(0), dv.deriv(0)]
-
-            composite = lambda p: p.evaluate([u_poly, v_poly])  # noqa: E731
-            f_a, f_b, f_c = (composite(p) for p in (data.a, data.b, data.c))
-            d_a, d_b, d_c = f_a.deriv(0), f_b.deriv(0), f_c.deriv(0)
-
-            forms = log_jet_forms(data)
-            f_num = d_a * f_c - d_c * f_a
-            g_num = d_b * f_c - d_c * f_b
-            assert forms.alpha.evaluate(jets) == f_num
-            assert forms.beta.evaluate(jets) == g_num
-
-            # gamma is the quotient-rule numerator of (f_num / (a*c))'.
-            ac, bc = f_a * f_c, f_b * f_c
-            f_prime = f_num.deriv(0) * ac - f_num * ac.deriv(0)
-            g_prime = g_num.deriv(0) * bc - g_num * bc.deriv(0)
-            assert forms.gamma_a.evaluate(jets) == f_prime
-            assert forms.gamma_b.evaluate(jets) == g_prime
-
-
-def test_wronskian_matches_log_derivative_wronskian():
-    """The cleared numerator equals f*g' - f'*g over a^2*b^2*c^3, computed
-    from composite derivatives of an explicit curve."""
-    data = chart_data(FERMAT, 0)
-    u_poly, v_poly = _curve_pair()
     du, dv = u_poly.deriv(0), v_poly.deriv(0)
-    jets = [u_poly, v_poly, du, dv, du.deriv(0), dv.deriv(0)]
+    d2u, d2v = du.deriv(0), dv.deriv(0)
 
     composite = lambda p: p.evaluate([u_poly, v_poly])  # noqa: E731
     f_a, f_b, f_c = (composite(p) for p in (data.a, data.b, data.c))
     d_a, d_b, d_c = f_a.deriv(0), f_b.deriv(0), f_c.deriv(0)
     f_num = d_a * f_c - d_c * f_a
     g_num = d_b * f_c - d_c * f_b
+    # gamma is the quotient-rule numerator of (f_num / (a*c))'.
     ac, bc = f_a * f_c, f_b * f_c
-    f_prime = f_num.deriv(0) * ac - f_num * ac.deriv(0)
-    g_prime = g_num.deriv(0) * bc - g_num * bc.deriv(0)
-
-    wf = wronskian_form(data)
-    oracle = f_num * g_prime * f_a - f_prime * g_num * f_b
-    assert wf.tilde.evaluate(jets) == oracle
-
-    # The reduced form sees only W = u1*v2 - v1*u2 of the second-order data.
-    w_along_curve = du * dv.deriv(0) - dv * du.deriv(0)
-    assert wf.reduced.evaluate([u_poly, v_poly, du, dv, w_along_curve]) == (
-        wf.tilde.evaluate(jets)
+    return _Curve(
+        jets6=[u_poly, v_poly, du, dv, d2u, d2v],
+        jets5=[u_poly, v_poly, du, dv, du * d2v - dv * d2u],
+        a=f_a,
+        b=f_b,
+        f_num=f_num,
+        g_num=g_num,
+        f_prime=f_num.deriv(0) * ac - f_num * ac.deriv(0),
+        g_prime=g_num.deriv(0) * bc - g_num * bc.deriv(0),
     )
 
 
-def test_w_coefficient_is_abc_squared_times_determinant():
+def test_jet_forms_match_composite_differentiation():
+    """The reference's chain-rule jet numerators agree with direct d/dz of
+    the composites, and so do the certifier's 1-jet forms."""
     for preset in (FERMAT, CASE72):
         for chart in (0, 1, 2):
             data = chart_data(preset, chart)
-            wf = wronskian_form(data)
+            curve = _along_curve(data)
+            forms = reference_forms(data)
+            assert forms.alpha.evaluate(curve.jets6) == curve.f_num
+            assert forms.beta.evaluate(curve.jets6) == curve.g_num
+            assert forms.gamma_a.evaluate(curve.jets6) == curve.f_prime
+            assert forms.gamma_b.evaluate(curve.jets6) == curve.g_prime
+            closed = log_jet_forms(data)
+            assert closed.alpha.evaluate(curve.jets5) == curve.f_num
+            assert closed.beta.evaluate(curve.jets5) == curve.g_num
+
+
+def test_wronskian_matches_log_derivative_wronskian():
+    """The cleared numerator equals f*g' - f'*g over a^2*b^2*c^3, computed
+    from composite derivatives of an explicit curve: for the reference's
+    six-variable ``L~``, and for the closed-form reduced numerator, which
+    sees only W = u1*v2 - v1*u2 of the second-order data."""
+    for preset in (FERMAT, CASE72):
+        for chart in (0, 1, 2):
+            data = chart_data(preset, chart)
+            curve = _along_curve(data)
+            oracle = (
+                curve.f_num * curve.g_prime * curve.a
+                - curve.f_prime * curve.g_num * curve.b
+            )
+            assert reference_tilde(data).evaluate(curve.jets6) == oracle
+            assert wronskian_form(data).reduced.evaluate(curve.jets5) == oracle
+
+
+def test_w_coefficient_is_abc_squared_times_determinant():
+    """The ``W``-coefficient is ``a*b*c^2 * D`` in the closed form, and the
+    reference finds the same jet-free coefficient by eliminating
+    ``(u2, v2)``."""
+    for preset in (FERMAT, CASE72):
+        for chart in (0, 1, 2):
+            data = chart_data(preset, chart)
             expected = data.a * data.b * data.c * data.c * data.det
-            assert wf.w_coefficient == expected
+            assert wronskian_form(data).w_coefficient == expected
+            by_jet = reference_reduced(data).coefficient_map((2, 3, 4))
+            assert {pattern for pattern in by_jet if pattern[2]} == {(0, 0, 1)}
+            assert by_jet[(0, 0, 1)] == expected
+
+
+def _random_conic(rng: random.Random) -> Conic:
+    while True:
+        coefficients = tuple(rng.randint(-6, 6) for _ in range(6))
+        if any(coefficients):
+            return Conic(coefficients)
+
+
+@pytest.mark.parametrize("modulus", [None, 5, 11], ids=["ZZ", "GF5", "GF11"])
+def test_closed_form_matches_the_reference_on_random_triples(modulus):
+    """``L~_red = L~|(u2=v2=0) + a*b*c^2*D*W`` holds for any three conics,
+    smooth or not, on every chart: it equals the reference's elimination of
+    ``(u2, v2)`` through ``W``, and the forms it is built from are the
+    reference's at ``u2 = v2 = 0``."""
+    rng = random.Random(20261018)
+    for _ in range(6):
+        triple = ConicTriple(*(_random_conic(rng) for _ in range(3)))
+        for chart in (0, 1, 2):
+            data = chart_data(triple, chart, modulus)
+            closed = wronskian_form(data)
+            assert closed.reduced == reference_reduced(data)
+            forms = reference_forms(data)
+            for name in ("alpha", "beta", "gamma_a", "gamma_b"):
+                at_zero = getattr(forms, name).coefficient_map((4, 5)).get(
+                    (0, 0), MultiPoly.zero(4, modulus)
+                )
+                assert getattr(closed.forms, name) == at_zero.embed(5, (0, 1, 2, 3))
 
 
 def test_jet_weight_scaling():
     """Rescaling (u1, v1) by s and (u2, v2) by s^2 scales alpha by s,
-    gamma by s^2 and the Wronskian numerator by s^3."""
+    gamma by s^2 and the Wronskian numerator by s^3; the reduced numerator
+    scales by s^3 when W, of weight 3, is rescaled by s^3."""
     data = chart_data(FERMAT, 0)
-    forms = log_jet_forms(data)
-    tilde = wronskian_form(data).tilde
+    forms = reference_forms(data)
+    tilde = reference_tilde(data)
+    reduced = wronskian_form(data).reduced
     rng = random.Random(20240816)
     for _ in range(5):
         point = [Fraction(rng.randint(-9, 9)) for _ in range(6)]
@@ -127,6 +184,9 @@ def test_jet_weight_scaling():
                                  (tilde, 3)):
                 base = evaluate_fraction(form, point)
                 assert evaluate_fraction(form, scaled) == s**weight * base
+            base = evaluate_fraction(reduced, point[:5])
+            scaled = point[:2] + [s * point[2], s * point[3], s**3 * point[4]]
+            assert evaluate_fraction(reduced, scaled) == s**3 * base
 
 
 def test_ansatz_space_counts():
@@ -203,12 +263,12 @@ def test_expansion_slots_and_denominators():
 
     point = [Fraction(2), Fraction(-3), Fraction(5), Fraction(7), Fraction(1, 3)]
     u, v, u1, v1, w_jet = point
-    wf = wronskian_form(data)
+    forms = reference_forms(data)
     alpha, beta = (
         evaluate_fraction(form.coefficient_map((4, 5))[(0, 0)], point[:4])
-        for form in (wf.forms.alpha, wf.forms.beta)
+        for form in (forms.alpha, forms.beta)
     )
-    lam = evaluate_fraction(wf.reduced, point)
+    lam = evaluate_fraction(reference_reduced(data), point)
     a, b, c = (evaluate_fraction(q, (u, v)) for q in (data.a, data.b, data.c))
     for (w, k), slot_map in full.items():
         value = sum(
@@ -223,7 +283,7 @@ def test_expansion_slots_and_denominators():
 
 def test_reduced_blocks_match_full_elimination():
     """The expansion's product blocks equal the per-block elimination of the
-    second-order jet variables in ``full_block`` modulo ``u^m * v^m``, on
+    second-order jet variables in the reference's ``full_block`` modulo ``u^m * v^m``, on
     several charts and configurations."""
     cases = [
         (FERMAT, 0, 3, 3),
@@ -257,17 +317,18 @@ def test_case72_blocks_match_full_elimination_weight_5(chart):
 )
 def test_blocks_equal_the_literal_product(triple, chart, m, t):
     """Every block equals
-    alpha^(m-3w-k) * beta^k * L~^w * a^(w+k) * b^(m-2w-k) * (u*v)^(2w)
-    modulo ``u^m * v^m``, multiplied out term by term over GF(5)."""
+    alpha^(m-3w-k) * beta^k * L~_red^w * a^(w+k) * b^(m-2w-k) * (u*v)^(2w)
+    modulo ``u^m * v^m``, multiplied out term by term over GF(5) from the
+    reference's forms and its reduced numerator."""
     data = chart_data(triple, chart, modulus=5)
     space = AnsatzSpace.build(m, t)
-    forms = log_jet_forms(data)
+    forms = reference_forms(data)
     alpha, beta = (
         form.coefficient_map((4, 5))[(0, 0)].embed(5, (0, 1, 2, 3))
         for form in (forms.alpha, forms.beta)
     )
     lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
-    lam = wronskian_form(data).reduced
+    lam = reference_reduced(data)
     a, b = lift(data.a), lift(data.b)
     uv = lift(MultiPoly.variable(2, 0, 5) * MultiPoly.variable(2, 1, 5))
     expected = {}
@@ -363,6 +424,7 @@ def test_twist_lowering_embedding_shapes():
 
 
 def test_residual_second_derivative_is_exceptional():
-    """The elimination invariants hold on real inputs; the guard type exists
-    for implementation faults and is part of the public surface."""
+    """The expansion's homogeneity invariant holds on real inputs; the
+    guard type exists for implementation faults and is part of the public
+    surface."""
     assert issubclass(ResidualSecondDerivative, Exception)

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from _util import random_nonzero_poly, random_poly, tuple_product
-from jetcert.polynomials import (
-    MultiPoly,
+from _util import (
     NonDivisible,
-    RingMismatch,
     exact_div,
+    random_nonzero_poly,
+    random_poly,
+    tuple_product,
 )
+from jetcert.polynomials import MultiPoly, RingMismatch
 
 
 def _binomial_expand_power(base: MultiPoly, n: int) -> MultiPoly:
@@ -65,6 +66,9 @@ def test_canonical_form_drops_zeros_and_reduces():
     assert f.terms[(0, 0)] == 3
     g = MultiPoly(2, {(2, 2): 0})
     assert g.is_zero
+
+
+# ``exact_div`` is the monomial division of the tests' jet-frame reference.
 
 
 def test_exact_div_failure_attaches_remainder():
