@@ -35,7 +35,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .linsys import LinearSystem, Row
+from .jets import Row
+from .linsys import LinearSystem
 
 # One entry per rank: (pivot column, source row index, frozen pivot row).
 PivotLog = list[tuple[int, int, dict[int, int]]]

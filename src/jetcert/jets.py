@@ -42,8 +42,9 @@ conics ``a, b, c``:
     ``w + (n-k)``.  Every block is therefore a product of three powers built
     once per chart, and no polynomial division is needed.  Each block is stored
     as its jet-slot decomposition ``{(i, j, k): S(u, v)}`` over the monomials
-    ``u1^i v1^j W^k`` (``i + j + 3k = m`` always — the expansion is
-    weighted-homogeneous), and modulo ``u^m * v^m``: only the terms with
+    ``u1^i v1^j W^k`` (``i + j + 3k = m`` always, by construction: ``X``
+    and ``Y`` have jet weight 1 and ``C_1`` weight 3, ``W`` counting 3),
+    and modulo ``u^m * v^m``: only the terms with
     ``u``-degree < m or ``v``-degree < m are kept.  That is exact for the
     rows of step 5, which read nothing else.  Multiplication never lowers an
     exponent, so a factor term with both degrees at least ``m`` feeds only
@@ -60,7 +61,9 @@ conics ``a, b, c``:
     shift only raises degrees, so each such coefficient comes from block
     terms that step 4 kept.  The rows are built one jet slot at a time and
     emitted in the canonical order: slots ascending, monomials by
-    ``(u+v, u, v)``.
+    ``(u+v, u, v)``.  A row is its entry tuple (:data:`Row`) and nothing
+    else; the rows of a chart share one ``(column, coefficient)`` tuple per
+    distinct pair.
 
 Soundness direction used downstream: a nonzero complex solution would give a
 nonzero rational one, hence a primitive integer one, hence a nonzero mod-p
@@ -74,18 +77,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .conics import CHART_AXES, ChartData
 from .polynomials import MultiPoly
 
 # Variable layout of the frame stage: (u, v, u1, v1, W).
 _U1, _V1, _W = 2, 3, 4
-
-
-class ResidualSecondDerivative(Exception):
-    """Raised when an expansion block breaks the weighted homogeneity of the
-    jet frame — an implementation fault, never a property of legal input."""
 
 
 # -- frame construction ---------------------------------------------------------------
@@ -327,41 +325,34 @@ def expand_ansatz(
         for k in range(m - 3 * w + 1):
             poly = _below(c_pows[w] * x_pows[m - 3 * w - k], m)
             poly = _below(poly * y_pows[k], m)
-            slot_map = poly.coefficient_map((_U1, _V1, _W))
-            for (i, j, kk) in slot_map:
-                if i + j + 3 * kk != m:
-                    raise ResidualSecondDerivative(
-                        f"jet slot {(i, j, kk)} breaks weighted homogeneity"
-                    )
-            blocks[(w, k)] = slot_map
+            blocks[(w, k)] = poly.coefficient_map((_U1, _V1, _W))
     return JetExpansion(chart=data.chart, space=space, modulus=modulus, blocks=blocks)
 
 
 # -- obstruction rows -----------------------------------------------------------------
 
 
-class ObstructionRow(NamedTuple):
-    """One necessary linear condition: the stated ``(u, v)``-monomial
-    coefficient of the stated jet slot of the cleared numerator, as a
-    normalized GF(p) linear form over the unknown columns."""
-
-    chart: int
-    slot: tuple[int, int, int]
-    monomial: tuple[int, int]
-    entries: tuple[tuple[int, int], ...]  # (column, coefficient), ascending
+Row = tuple[tuple[int, int], ...]
+"""One necessary linear condition: the GF(p) linear form of one
+``(u, v)``-monomial coefficient of one jet slot of the cleared numerator, as
+``(column, coefficient)`` entries with the columns ascending, every
+coefficient a nonzero canonical residue and the first one 1."""
 
 
 def obstruction_rows(
     expansion: JetExpansion, prime: int, *, parallel: bool = False
-) -> Iterator[ObstructionRow]:
+) -> Iterator[Row]:
     """The divisibility obstruction rows of one chart's expansion, built one
     jet slot at a time and yielded in the canonical order: slots ascending,
     then monomials by ``(u+v, u, v)``.
 
     A row is the coefficient, over the unknowns, of a cleared-numerator
     ``(u, v)``-monomial with ``u``-degree < m or ``v``-degree < m, reduced
-    mod ``prime`` and normalized so its lowest-column coefficient is 1.  A
-    ``prime`` other than the expansion's raises here, at the call.
+    mod ``prime`` and normalized so its lowest-column coefficient is 1; a
+    monomial whose coefficient vanishes mod ``prime`` yields no row.  The
+    rows of a chart share their ``(column, coefficient)`` tuples: one per
+    distinct pair.  A ``prime`` other than the expansion's raises here, at
+    the call.
 
     ``parallel`` is ignored, for the same reason as in
     :func:`expand_ansatz`."""
@@ -372,7 +363,7 @@ def obstruction_rows(
     return _slot_rows(expansion, prime)
 
 
-def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[ObstructionRow]:
+def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[Row]:
     space = expansion.space
     m, chart, degrees = space.m, expansion.chart, dict(space.strata)
 
@@ -387,12 +378,12 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[ObstructionRow]:
     )
     width = (top + max(degrees.values(), default=0)).bit_length()
     pack = lambda u, v: (u + v) << 2 * width | u << width | v  # noqa: E731
-    mask = (1 << width) - 1
 
     # A chart's rows hold at most n_vars * (p - 1) distinct (column,
-    # coefficient) pairs, at small p far fewer than their nonzeros, so every
-    # row holds the one shared tuple of each of its pairs.
-    share = {}.setdefault
+    # coefficient) pairs, at small p far fewer than their nonzeros.  Each
+    # pair's tuple is built once, on first use, and shared by every row
+    # that holds it; the table is keyed by the int col * prime + coeff.
+    pairs: dict[int, tuple[int, int]] = {}
 
     # slot -> the blocks' polynomials in it, each with its block's unknowns:
     # their columns, the divisibility bounds left after their chart shifts,
@@ -418,14 +409,17 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[ObstructionRow]:
                 for su, sv, key, coeff in strip:
                     if su < bound_u or sv < bound_v:
                         buckets.setdefault(key + shift, {})[col] = coeff
-        for key, bucket in sorted(buckets.items()):
-            entries = [(col, bucket[col] % prime) for col in sorted(bucket)]
-            entries = [entry for entry in entries if entry[1]]
-            if entries:
-                inverse = pow(entries[0][1], prime - 2, prime)
-                pairs = [(col, c * inverse % prime) for col, c in entries]
-                monomial = (key >> width & mask, key & mask)
-                yield ObstructionRow(chart, slot, monomial, tuple(map(share, pairs, pairs)))
+        for _, bucket in sorted(buckets.items()):
+            row = []
+            for col in sorted(bucket):
+                coeff = bucket[col] % prime
+                if coeff:
+                    if not row:
+                        inverse = pow(coeff, prime - 2, prime)
+                    pair = col * prime + coeff * inverse % prime
+                    row.append(pairs.get(pair) or pairs.setdefault(pair, divmod(pair, prime)))
+            if row:
+                yield tuple(row)
 
 
 # -- reference dimensions and distinguished vectors -----------------------------------

@@ -2,8 +2,9 @@
 
 The rows are the union over the selected charts.  Each chart's rows arrive
 in the canonical order of :func:`jetcert.jets.obstruction_rows`, the charts
-ascending, and are deduplicated by normalized content in arrival order
-(first occurrence wins), so the result is independent of chart order.
+ascending, and are deduplicated by content in arrival order (the first
+occurrence keeps its position), so the result is independent of chart
+order.  A row is its entry tuple (:data:`jetcert.jets.Row`) throughout.
 
 The export format is the plain-text sparse matrix market dialect used by
 exact linear-algebra toolkits: a header ``"<nrows> <ncols> M"``, one 1-based
@@ -19,28 +20,25 @@ from itertools import chain
 from typing import Iterable, Iterator
 
 from .conics import ConicTriple, chart_data
-from .jets import AnsatzSpace, ObstructionRow, expand_ansatz, obstruction_rows
+from .jets import AnsatzSpace, Row, expand_ansatz, obstruction_rows
 
 
 class IoFailure(Exception):
     """Raised when SMS text cannot be parsed or written faithfully."""
 
 
-Row = tuple[tuple[int, int], ...]
-
-
 @dataclass(frozen=True)
 class LinearSystem:
-    """A normalized GF(p) linear system with optional provenance.
+    """A normalized GF(p) linear system.
 
     Equality compares the mathematical content (prime, shape, rows) only;
-    provenance and the unknown-space handle are carried for reporting."""
+    the raw row count and the unknown-space handle are carried for
+    reporting."""
 
     prime: int
     n_vars: int
     rows: tuple[Row, ...]
     n_rows_raw: int = field(default=0, compare=False)
-    provenance: tuple | None = field(default=None, compare=False)
     space: AnsatzSpace | None = field(default=None, compare=False)
 
     @property
@@ -61,26 +59,20 @@ class LinearSystem:
 
 
 def merge_rows(
-    rows: Iterable[ObstructionRow], prime: int, n_vars: int, space: AnsatzSpace | None
+    rows: Iterable[Row], prime: int, n_vars: int, space: AnsatzSpace | None
 ) -> LinearSystem:
     """Freeze obstruction rows, given in canonical order, into a system.
 
     The rows are read once and counted in ``n_rows_raw`` as they arrive; a
-    row whose entries equal an earlier row's is dropped, so the first
-    occurrence keeps its place and its provenance."""
-    first: dict[Row, tuple] = {}
+    row equal to an earlier one is dropped, so the first occurrence keeps
+    its position.  Each row is hashed once."""
+    first: dict[Row, None] = {}
     n_rows_raw = 0
     for row in rows:
         n_rows_raw += 1
-        if row.entries not in first:
-            first[row.entries] = (row.chart, row.slot, row.monomial)
+        first.setdefault(row)
     return LinearSystem(
-        prime=prime,
-        n_vars=n_vars,
-        rows=tuple(first),
-        n_rows_raw=n_rows_raw,
-        provenance=tuple(first.values()),
-        space=space,
+        prime=prime, n_vars=n_vars, rows=tuple(first), n_rows_raw=n_rows_raw, space=space
     )
 
 
@@ -147,7 +139,7 @@ def sms_checksum(system: LinearSystem) -> str:
 
 
 def import_sms(text: str, prime: int) -> LinearSystem:
-    """Parse SMS text back into a system (content only, no provenance).
+    """Parse SMS text back into a system (content only).
 
     Every header and triple token must be ASCII decimal digits without a
     leading zero, so signs, underscores, non-ASCII digits and padded

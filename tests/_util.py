@@ -7,7 +7,7 @@ import random
 from typing import NamedTuple
 
 from jetcert.conics import ChartData
-from jetcert.jets import AnsatzSpace
+from jetcert.jets import AnsatzSpace, JetExpansion, chart_monomial_shift
 from jetcert.polynomials import MultiPoly
 
 
@@ -222,6 +222,37 @@ def reduce_blocks(blocks: dict, m: int) -> dict:
             if kept:
                 out[key][slot] = MultiPoly(poly.arity, kept, poly.modulus)
     return out
+
+
+def reference_rows(expansion: JetExpansion, prime: int) -> list:
+    """The obstruction rows of one chart from their definition, the plain way.
+
+    For every jet slot and every ``(u, v)`` with ``u < m`` or ``v < m``, each
+    unknown's coefficient is read off its block, shifted by the unknown's
+    chart monomial.  The linear forms are sorted by
+    ``(slot, u + v, u, v)``, reduced mod ``prime``, zero forms dropped, and
+    each scaled to 1 at its lowest column."""
+    space = expansion.space
+    m = space.m
+    forms: dict[tuple, dict[int, int]] = {}
+    for col, unknown in enumerate(space.columns):
+        shift_u, shift_v = chart_monomial_shift(expansion.chart, unknown.exponents)
+        block = expansion.blocks[(unknown.stratum, unknown.split)]
+        for slot, poly in block.items():
+            for (u, v), coeff in poly.terms.items():
+                u, v = u + shift_u, v + shift_v
+                if u < m or v < m:
+                    form = forms.setdefault((slot, u + v, u, v), {})
+                    form[col] = form.get(col, 0) + coeff
+    rows = []
+    for key in sorted(forms):
+        entries = sorted(
+            (col, coeff % prime) for col, coeff in forms[key].items() if coeff % prime
+        )
+        if entries:
+            inverse = pow(entries[0][1], -1, prime)
+            rows.append(tuple((col, coeff * inverse % prime) for col, coeff in entries))
+    return rows
 
 
 def tuple_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:

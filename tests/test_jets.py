@@ -23,7 +23,6 @@ from jetcert.conics import CHART_AXES, PRESET_TRIPLES, Conic, ConicTriple, chart
 from jetcert.jets import (
     AnsatzIndex,
     AnsatzSpace,
-    ResidualSecondDerivative,
     case_m3_dim_counts,
     chart_monomial_shift,
     expand_ansatz,
@@ -40,6 +39,7 @@ from _util import (
     reference_blocks,
     reference_forms,
     reference_reduced,
+    reference_rows,
     reference_tilde,
 )
 
@@ -257,9 +257,7 @@ def test_expansion_slots_and_denominators():
     assert expansion.slots() == [(0, 3, 0), (1, 2, 0), (2, 1, 0), (3, 0, 0), (0, 0, 1)]
     assert set(expansion.blocks) == {(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)}
     assert expansion.blocks == reduce_blocks(full, m)
-    for slot_map in expansion.blocks.values():
-        for (i, j, kk) in slot_map:
-            assert i + j + 3 * kk == space.m
+    _assert_weighted_homogeneous(expansion.blocks, m)
 
     point = [Fraction(2), Fraction(-3), Fraction(5), Fraction(7), Fraction(1, 3)]
     u, v, u1, v1, w_jet = point
@@ -281,6 +279,14 @@ def test_expansion_slots_and_denominators():
         assert value == summand * (u * v * a * b * c) ** m
 
 
+def _assert_weighted_homogeneous(blocks, m):
+    """Every jet slot ``u1^i * v1^j * W^kk`` of every block has weight
+    ``i + j + 3*kk = m``."""
+    for slot_map in blocks.values():
+        for (i, j, kk) in slot_map:
+            assert i + j + 3 * kk == m
+
+
 def test_reduced_blocks_match_full_elimination():
     """The expansion's product blocks equal the per-block elimination of the
     second-order jet variables in the reference's ``full_block`` modulo ``u^m * v^m``, on
@@ -295,7 +301,9 @@ def test_reduced_blocks_match_full_elimination():
         data = chart_data(triple, chart)
         space = AnsatzSpace.build(m, t)
         expected = reduce_blocks(reference_blocks(data, space), m)
-        assert expand_ansatz(data, space).blocks == expected
+        blocks = expand_ansatz(data, space).blocks
+        assert blocks == expected
+        _assert_weighted_homogeneous(blocks, m)
 
 
 @pytest.mark.extended
@@ -339,7 +347,9 @@ def test_blocks_equal_the_literal_product(triple, chart, m, t):
                 * a ** (w + k) * b ** (m - 2 * w - k) * uv ** (2 * w)
             )
             expected[(w, k)] = product.coefficient_map((2, 3, 4))
-    assert expand_ansatz(data, space).blocks == reduce_blocks(expected, m)
+    blocks = expand_ansatz(data, space).blocks
+    assert blocks == reduce_blocks(expected, m)
+    _assert_weighted_homogeneous(blocks, m)
 
 
 def test_obstruction_rows_frozen_shape():
@@ -347,19 +357,42 @@ def test_obstruction_rows_frozen_shape():
     expansion = expand_ansatz(chart_data(FERMAT, 0), space)
     rows = list(obstruction_rows(expansion, 5))
     assert len(rows) == 164
-    first = rows[0]
-    assert (first.chart, first.slot, first.monomial) == (0, (0, 3, 0), (0, 3))
-    assert first.entries == ((27, 1), (55, 4), (83, 1), (111, 4))
-    last = rows[-1]
-    assert (last.slot, last.monomial) == ((3, 0, 0), (15, 2))
-    assert last.entries == ((6, 1), (34, 1), (90, 1))
+    assert rows[0] == ((27, 1), (55, 4), (83, 1), (111, 4))
+    assert rows[-1] == ((6, 1), (34, 1), (90, 1))
     for row in rows:
-        assert row.entries[0][1] == 1  # normalized leading coefficient
-        assert all(1 <= coeff < 5 for _, coeff in row.entries)
-        cols = [col for col, _ in row.entries]
+        assert row[0][1] == 1  # normalized leading coefficient
+        assert all(1 <= coeff < 5 for _, coeff in row)
+        cols = [col for col, _ in row]
         assert cols == sorted(cols)
-        i, j = row.monomial
-        assert i < space.m or j < space.m
+
+
+@pytest.mark.parametrize("triple", [FERMAT, CASE72], ids=["fermat", "case72"])
+@pytest.mark.parametrize("m, t", [(3, 3), (4, 3), (3, 0)], ids=["3-3", "4-3", "3-0"])
+def test_rows_match_the_reference_rows(triple, m, t):
+    """On every chart, at p = 5 and 7, over GF(p) and over ZZ, the rows
+    are exactly the reference's, read off the blocks monomial by monomial
+    from the definition: same content, same normalization, same order."""
+    space = AnsatzSpace.build(m, t)
+    for chart in (0, 1, 2):
+        over_z = expand_ansatz(chart_data(triple, chart), space)
+        for prime in (5, 7):
+            over_gf = expand_ansatz(chart_data(triple, chart, modulus=prime), space)
+            expected = reference_rows(over_gf, prime)
+            assert expected
+            assert list(obstruction_rows(over_gf, prime)) == expected
+            assert list(obstruction_rows(over_z, prime)) == expected
+            assert reference_rows(over_z, prime) == expected
+
+
+def test_rows_share_one_tuple_per_pair():
+    """The rows of a chart hold one ``(column, coefficient)`` tuple per
+    distinct pair, however many rows hold it."""
+    space = AnsatzSpace.build(4, 3)
+    expansion = expand_ansatz(chart_data(FERMAT, 0, modulus=5), space)
+    rows = list(obstruction_rows(expansion, 5))
+    entries = [entry for row in rows for entry in row]
+    assert len(set(entries)) < len(entries)
+    assert len({id(entry) for entry in entries}) == len(set(entries))
 
 
 def test_rows_reject_mismatched_prime():
@@ -386,7 +419,7 @@ def test_wronskian_vector_annihilates_every_chart():
     for chart in (0, 1, 2):
         expansion = expand_ansatz(chart_data(FERMAT, chart), space)
         for row in obstruction_rows(expansion, 5):
-            acc = sum(coeff * vector.get(col, 0) for col, coeff in row.entries)
+            acc = sum(coeff * vector.get(col, 0) for col, coeff in row)
             assert acc % 5 == 0
     with pytest.raises(ValueError):
         wronskian_solution_vector(AnsatzSpace.build(3, 1))
@@ -422,9 +455,3 @@ def test_twist_lowering_embedding_shapes():
     with pytest.raises(ValueError):
         twist_lowering_embedding(source, source, vector)
 
-
-def test_residual_second_derivative_is_exceptional():
-    """The expansion's homogeneity invariant holds on real inputs; the
-    guard type exists for implementation faults and is part of the public
-    surface."""
-    assert issubclass(ResidualSecondDerivative, Exception)

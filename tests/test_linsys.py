@@ -7,7 +7,7 @@ import hashlib
 import pytest
 
 from jetcert.conics import PRESET_TRIPLES
-from jetcert.jets import ObstructionRow
+from jetcert.jets import AnsatzSpace
 from jetcert.linsys import (
     IoFailure,
     LinearSystem,
@@ -99,7 +99,6 @@ def test_assembly_is_chart_order_independent():
     forward = assemble(FERMAT, 3, 3, 5, charts=(0, 2))
     backward = assemble(FERMAT, 3, 3, 5, charts=(2, 0))
     assert forward == backward
-    assert forward.provenance == backward.provenance
 
 
 def test_assembly_counts_and_provenance():
@@ -107,12 +106,6 @@ def test_assembly_counts_and_provenance():
     assert system.n_vars == 113
     assert system.n_rows_raw == 328
     assert system.n_rows == 245
-    assert len(system.provenance) == system.n_rows
-    graded = [
-        (chart, slot, (sum(monomial), monomial))
-        for chart, slot, monomial in system.provenance
-    ]
-    assert graded == sorted(graded)
     assert system.space is not None and system.space.n_vars == 113
 
 
@@ -124,14 +117,16 @@ def test_assembly_validates_charts():
 
 
 def test_merge_rows_deduplicates_keeping_first():
-    row_a = ObstructionRow(0, (0, 3, 0), (0, 1), ((0, 1), (2, 3)))
-    row_b = ObstructionRow(2, (0, 3, 0), (0, 1), ((0, 1), (2, 3)))  # duplicate content
-    row_c = ObstructionRow(2, (0, 3, 0), (0, 2), ((1, 1),))
-    system = merge_rows([row_a, row_b, row_c], 5, 4, None)
-    assert system.n_rows_raw == 3
-    assert system.rows == (((0, 1), (2, 3)), ((1, 1),))
-    # First occurrence in (chart, slot, monomial) order wins.
-    assert system.provenance == ((0, (0, 3, 0), (0, 1)), (2, (0, 3, 0), (0, 2)))
+    row_a = ((0, 1), (2, 3))
+    row_b = ((1, 1),)
+    row_c = ((1, 1), (3, 2))
+    # Each repeat is non-adjacent; the repeat of row_a is an equal copy.
+    rows = [row_a, row_b, tuple(list(row_a)), row_c, row_b]
+    system = merge_rows(rows, 5, 4, None)
+    assert system.n_rows_raw == 5
+    # Every row keeps the position of its first occurrence.
+    assert system.rows == (row_a, row_b, row_c)
+    assert system.rows[0] is row_a
 
 
 def test_equality_ignores_bookkeeping_fields():
@@ -141,7 +136,7 @@ def test_equality_ignores_bookkeeping_fields():
         n_vars=2,
         rows=(((0, 1),),),
         n_rows_raw=99,
-        provenance=((0, (0, 0, 1), (0, 0)),),
+        space=AnsatzSpace.build(1, 3),
     )
     assert base == decorated
     indexed = LinearSystem(prime=5, n_vars=2, rows=(((0, 1),),))
