@@ -62,6 +62,8 @@ class ConfigError(Exception):
 
 
 _CHART_TOKENS = {"z0": 0, "z1": 1, "z2": 2, "0": 0, "1": 1, "2": 2}
+#: Upper bound of ``--digits``; decimal rendering grows superlinearly.
+_MAX_DIGITS = 10_000
 
 
 @dataclass
@@ -297,6 +299,8 @@ def run_export(cfg: RunConfig) -> dict:
 def run_thresholds(cfg: RunConfig) -> dict:
     if cfg.digits < 1:
         raise ConfigError(f"--digits must be at least 1, got {cfg.digits}")
+    if cfg.digits > _MAX_DIGITS:
+        raise ConfigError(f"--digits must be at most {_MAX_DIGITS}, got {cfg.digits}")
     if (cfg.m is None) != (cfg.t is None):
         raise ConfigError("thresholds needs both --m and --t for the tau pair")
     try:
@@ -381,7 +385,10 @@ def _build_parser() -> argparse.ArgumentParser:
     thresholds.add_argument("--m", type=int, default=None)
     thresholds.add_argument("--t", type=int, default=None)
     thresholds.add_argument(
-        "--digits", type=int, default=30, help="significant digits, at least 1"
+        "--digits",
+        type=int,
+        default=30,
+        help=f"significant digits, from 1 to {_MAX_DIGITS}",
     )
 
     enumerate_cmd = sub.add_parser("enumerate", help="pairs needing certificates")

@@ -17,7 +17,10 @@ are floating-point.  The module covers four calculators:
   degree-4 classes to numbers.  Tower classes are exact
   :class:`~jetcert.polynomials.MultiPoly` values in the five classes
   ``u1, u2, h, c1, c2`` with rational coefficients; ``codimensions`` gives
-  their weighted codimensions.
+  their weighted codimensions.  ``z_cube_intersection`` evaluates the
+  degree-4 self-intersection ``(2*u1 + u2 - tau*h)^3 * (b1*u1 + b2*u2 - t*h)``
+  as a cubic in ``tau`` whose twelve coefficient pairings the engine derives
+  once, on first use, and caches.
 
 ``exceptional_pairs`` enumerates the finitely many weight/twist pairs that
 escape both analytic regimes for a given constant and therefore need an
@@ -29,7 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import isqrt
+from functools import cache
+from math import comb, isqrt, lcm
 from typing import Iterable
 
 from .polynomials import MultiPoly
@@ -366,6 +370,7 @@ class TwoJetConstants:
     reciprocal_constant: QuadExt
 
 
+@cache
 def two_jet_constants() -> TwoJetConstants:
     lower, upper = two_jet_phi_roots()
     tripled = 3 * lower
@@ -507,20 +512,51 @@ def quartic_monomial_table() -> dict[str, Fraction]:
     return table
 
 
+@cache
+def _cube_pairings() -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The pairings behind :func:`z_cube_intersection`, derived through the
+    rewrite engine on first use.
+
+    By the binomial theorem the coefficient of ``(-tau)^k`` in
+    ``(2*u1 + u2 - tau*h)^3`` is ``C(3,k) * (2*u1 + u2)^(3-k) * h^k``.  Entry
+    ``k`` of the result holds its pairings with ``u1``, ``u2`` and ``h``, as
+    integer numerators over the common denominator returned first."""
+    base = U1.scale(2) + U2
+    pairings = [
+        [
+            tower_integral((base ** (3 - k) * H**k * line).scale(comb(3, k)))
+            for line in (U1, U2, H)
+        ]
+        for k in range(4)
+    ]
+    denominator = lcm(*(value.denominator for row in pairings for value in row))
+    return denominator, tuple(
+        tuple(int(value * denominator) for value in row) for row in pairings
+    )
+
+
 def z_cube_intersection(m: int, t: int, tau, b1: int, b2: int) -> Fraction:
     """Evaluate ``(2*u1 + u2 - tau*h)^3 * (b1*u1 + b2*u2 - t*h)`` on the
     tower, in the three-conic specialization.
 
-    The result is independent of the split ``(b1, b2)`` and equals
+    The value is the cubic ``sum_k (b1*A_k + b2*B_k - t*H_k) * (-tau)^k`` in
+    ``tau``, whose coefficient pairings ``A_k, B_k, H_k`` come from
+    :func:`_cube_pairings`; each call evaluates it in integers on the
+    numerator and denominator of ``tau``.  The result is independent of the
+    split ``(b1, b2)`` and equals
     ``3 * (m*tau^2 - 3*(4m - t)*tau + 12*(m - t))``."""
     if b1 < 0 or b2 < 0:
         raise ValueError("bundle weights must be nonnegative")
     if b1 + b2 != m:
         raise SplitMismatch(f"split {b1}+{b2} does not sum to the weight {m}")
     tau = Fraction(tau)
-    cube = (U1.scale(2) + U2 - H.scale(tau)) ** 3
-    line = U1.scale(b1) + U2.scale(b2) - H.scale(t)
-    return tower_integral(cube * line)
+    p, q = tau.numerator, tau.denominator
+    denominator, rows = _cube_pairings()
+    numerator = sum(
+        (b1 * a + b2 * b - t * h) * (-p) ** k * q ** (3 - k)
+        for k, (a, b, h) in enumerate(rows)
+    )
+    return Fraction(numerator, denominator * q**3)
 
 
 def split_independence_report(m: int, t: int, tau) -> dict:

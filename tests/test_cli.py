@@ -77,6 +77,7 @@ def test_verify_twist_three_weight_one_has_constant_stratum(capsys):
         ("thresholds", "--degrees", "3,2"),
         ("thresholds", "--digits", "-3"),
         ("thresholds", "--digits", "0"),
+        ("thresholds", "--digits", "10001"),
         ("thresholds", "--m", "3"),
         ("thresholds", "--t", "3"),
         ("enumerate", "--c", "9/5"),

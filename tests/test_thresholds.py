@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -157,6 +159,7 @@ def test_two_jet_derived_constants():
     # 1 / (3*delta1) = 3/(4 - sqrt(10)) = (4 + sqrt(10))/2
     assert constants.reciprocal_constant == QuadExt.make(2, Fraction(1, 2), 10)
     assert abs(float(constants.reciprocal_constant) - 3.5811) < 1e-4
+    assert two_jet_constants() is constants
 
 
 # -- tau roots ---------------------------------------------------------------------------
@@ -304,15 +307,45 @@ def test_z_cube_reference_values():
         z_cube_intersection(3, 1, 0, 4, -1)
 
 
-def test_z_cube_closed_form_small_weights():
-    for m in range(1, 7):
-        for t in range(0, m + 1):
-            for b1 in range(0, m + 1):
-                for tau in (Fraction(0), Fraction(1, 2), Fraction(1)):
-                    expected = 3 * (
-                        m * tau**2 - 3 * (4 * m - t) * tau + 12 * (m - t)
-                    )
-                    assert z_cube_intersection(m, t, tau, b1, m - b1) == expected
+def _engine_z_cube(t: int, tau, b1: int, b2: int) -> Fraction:
+    """The self-intersection as the engine's pairing of the whole product."""
+    cube = (U1.scale(2) + U2 - H.scale(Fraction(tau))) ** 3
+    return tower_integral(cube * (U1.scale(b1) + U2.scale(b2) - H.scale(t)))
+
+
+def test_z_cube_matches_the_engine_product():
+    points = [
+        (m, t, tau, b1)
+        for m in range(1, 7)
+        for t in range(0, m + 1)
+        for b1 in range(0, m + 1)
+        for tau in (Fraction(0), Fraction(1, 2), Fraction(1))
+    ]
+    # A sample of the benchmark's tower domain, then a negative tau and the
+    # int and str spellings of tau.
+    rng = random.Random(1411)
+    for _ in range(150):
+        m = rng.randint(1, 12)
+        tau = Fraction(rng.randint(0, 8), rng.choice((1, 2, 3)))
+        points.append((m, rng.randint(0, m), tau, rng.randint(0, m)))
+    points += [(5, 2, Fraction(-7, 5), 3), (7, 4, 3, 2), (6, 1, "5/3", 6)]
+    for m, t, tau, b1 in points:
+        got = z_cube_intersection(m, t, tau, b1, m - b1)
+        assert isinstance(got, Fraction)
+        assert got == _engine_z_cube(t, tau, b1, m - b1), (m, t, tau, b1)
+
+
+def test_importing_the_cli_derives_nothing():
+    code = (
+        "import jetcert.cli\n"
+        "from jetcert import thresholds\n"
+        "print(thresholds.two_jet_constants.cache_info().currsize,"
+        " thresholds._cube_pairings.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.split() == ["0", "0"]
 
 
 def test_z_cube_vanishes_at_tau1_by_construction():
