@@ -10,6 +10,11 @@ thresholds     print the exact threshold report (optionally with tau data)
 enumerate      list the weight/twist pairs needing explicit certificates
 tower          print the quartic pairing table and the degree-4 identity check
 
+argparse hands each command to its runner, which returns the JSON payload and
+exit code that ``main`` prints and returns.  ``verify`` and ``export-matrix``
+merge their flags with ``--config`` into a :class:`RunConfig`; the calculators
+``thresholds``, ``enumerate`` and ``tower`` read argv alone.
+
 Bad input, including a singular or repeated conic, two tangent conics, three
 conics through one point, or a prime modulo which a conic is singular, exits 2
 with a one-line reason.  Any other exception is reported on one stderr line as
@@ -64,23 +69,25 @@ class ConfigError(Exception):
 _CHART_TOKENS = {"z0": 0, "z1": 1, "z2": 2, "0": 0, "1": 1, "2": 2}
 #: Upper bound of ``--digits``; decimal rendering grows superlinearly.
 _MAX_DIGITS = 10_000
+#: Upper bound of ``--m-max``; ``enumerate`` can list a pair for every weight.
+_MAX_M_MAX = 10_000
 
 
 @dataclass
 class RunConfig:
+    """The inputs of ``verify`` and ``export-matrix``, merged from argv and
+    ``--config`` by :func:`_merge_config`.  ``output`` is export-matrix's
+    destination; ``export_matrix`` and ``report`` are verify's."""
+
     command: str
-    conics: str = "fermat"
-    m: int | None = None
-    t: int | None = None
-    prime: int = 5
-    charts: tuple[int, ...] = (0, 2)
-    export_matrix: str | None = None
-    report: str | None = None
-    output: str | None = None
-    degrees: tuple[int, int, int] | None = None
-    constant: Fraction | None = None
-    m_max: int = 20
-    digits: int = 30
+    conics: str
+    m: int | None
+    t: int | None
+    prime: int
+    charts: tuple[int, ...]
+    export_matrix: str | None
+    report: str | None
+    output: str | None
 
 
 @dataclass(frozen=True)
@@ -143,19 +150,24 @@ def _parse_entry(value) -> Fraction:
     raise ConfigError(f"bad conic coefficient {value!r}")
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in a file; ``what`` names the file in the reasons."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path!r} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
 def load_conics(source: str) -> ConicTriple:
     """A builtin preset name, or a JSON file holding three 6-entry rows."""
     if source in PRESET_TRIPLES:
         return PRESET_TRIPLES[source]
-    try:
-        with open(source, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read conic file {source!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"conic file {source!r} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"conic file {source!r} is not valid JSON: {exc}") from exc
+    payload = _read_json(source, "conic file")
     if not (isinstance(payload, list) and len(payload) == 3):
         raise ConfigError("conic file must hold exactly three rows")
     conics = []
@@ -283,7 +295,13 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
     return result
 
 
-def run_export(cfg: RunConfig) -> dict:
+def _verify_command(args: argparse.Namespace) -> tuple[dict, int]:
+    verdict = run_verify(_merge_config(args))
+    return verdict.as_dict(), verdict.exit_code
+
+
+def run_export(args: argparse.Namespace) -> tuple[dict, int]:
+    cfg = _merge_config(args)
     if not cfg.output:
         raise ConfigError("export-matrix requires --output")
     _, system = _assemble_checked(cfg, 1)
@@ -293,39 +311,52 @@ def run_export(cfg: RunConfig) -> dict:
         "n_vars": system.n_vars,
         "n_rows": system.n_rows,
         "checksum": sms_checksum(system),
-    }
+    }, 0
 
 
-def run_thresholds(cfg: RunConfig) -> dict:
-    if cfg.digits < 1:
-        raise ConfigError(f"--digits must be at least 1, got {cfg.digits}")
-    if cfg.digits > _MAX_DIGITS:
-        raise ConfigError(f"--digits must be at most {_MAX_DIGITS}, got {cfg.digits}")
-    if (cfg.m is None) != (cfg.t is None):
+def run_thresholds(args: argparse.Namespace) -> tuple[dict, int]:
+    degrees = None
+    if args.degrees is not None:
+        try:
+            parsed = sorted((int(tok) for tok in args.degrees.split(",")), reverse=True)
+        except ValueError as exc:
+            raise ConfigError(f"bad degrees {args.degrees!r}") from exc
+        if len(parsed) != 3:
+            raise ConfigError("exactly three degrees are required")
+        degrees = tuple(parsed)
+    if args.digits < 1:
+        raise ConfigError(f"--digits must be at least 1, got {args.digits}")
+    if args.digits > _MAX_DIGITS:
+        raise ConfigError(f"--digits must be at most {_MAX_DIGITS}, got {args.digits}")
+    if (args.m is None) != (args.t is None):
         raise ConfigError("thresholds needs both --m and --t for the tau pair")
     try:
-        report = build_threshold_report(degrees=cfg.degrees, m=cfg.m, t=cfg.t)
+        report = build_threshold_report(degrees=degrees, m=args.m, t=args.t)
     except (DegenerateTotalDegree, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return report.as_dict(digits=cfg.digits)
+    return report.as_dict(digits=args.digits), 0
 
 
-def run_enumerate(cfg: RunConfig) -> dict:
-    if cfg.constant is None:
-        raise ConfigError("enumerate requires --c")
+def run_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     try:
-        pairs = exceptional_pairs(cfg.constant, cfg.m_max)
+        constant = Fraction(args.c)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad constant {args.c!r}") from exc
+    if args.m_max > _MAX_M_MAX:
+        raise ConfigError(f"--m-max must be at most {_MAX_M_MAX}, got {args.m_max}")
+    try:
+        pairs = exceptional_pairs(constant, args.m_max)
     except ConstantTooSmall as exc:
         raise ConfigError(str(exc)) from exc
     return {
-        "constant": str(cfg.constant),
-        "slope": str(vanishing_slope(cfg.constant)),
-        "m_max": cfg.m_max,
+        "constant": str(constant),
+        "slope": str(vanishing_slope(constant)),
+        "m_max": args.m_max,
         "pairs": [list(pair) for pair in pairs],
-    }
+    }, 0
 
 
-def run_tower(cfg: RunConfig) -> dict:
+def run_tower(args: argparse.Namespace) -> tuple[dict, int]:
     table = {name: str(value) for name, value in quartic_monomial_table().items()}
     checked = 0
     all_match = True
@@ -347,7 +378,7 @@ def run_tower(cfg: RunConfig) -> dict:
         "split_independence_general_pairings": independence[
             "independent_for_general_pairings"
         ],
-    }
+    }, 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -375,10 +406,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="certify one (m, t) configuration")
     add_system_flags(verify, with_verify_outputs=True)
+    verify.set_defaults(run=_verify_command)
 
     export = sub.add_parser("export-matrix", help="write the SMS matrix")
     add_system_flags(export, with_verify_outputs=False)
     export.add_argument("--output", required=True, help="SMS destination path")
+    export.set_defaults(run=run_export)
 
     thresholds = sub.add_parser("thresholds", help="exact threshold report")
     thresholds.add_argument("--degrees", default=None, help="comma list d1,d2,d3")
@@ -390,34 +423,36 @@ def _build_parser() -> argparse.ArgumentParser:
         default=30,
         help=f"significant digits, from 1 to {_MAX_DIGITS}",
     )
+    thresholds.set_defaults(run=run_thresholds)
 
     enumerate_cmd = sub.add_parser("enumerate", help="pairs needing certificates")
     enumerate_cmd.add_argument("--c", required=True, help="constant (rational)")
-    enumerate_cmd.add_argument("--m-max", dest="m_max", type=int, default=20)
+    enumerate_cmd.add_argument(
+        "--m-max", dest="m_max", type=int, default=20,
+        help=f"largest weight, at most {_MAX_M_MAX}",
+    )
+    enumerate_cmd.set_defaults(run=run_enumerate)
 
-    sub.add_parser("tower", help="quartic table and identity check")
+    tower = sub.add_parser("tower", help="quartic table and identity check")
+    tower.set_defaults(run=run_tower)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """The :class:`RunConfig` of a ``verify`` or ``export-matrix`` argv: a
+    flag given on the command line wins over the ``--config`` file's key of
+    the same name, which wins over the default.  File values keep their
+    JSON types; a wrong type is bad input, never coerced."""
     file_values: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path == "":
+    if args.config == "":
         raise ConfigError("config must not be empty")
-    if config_path is not None:
-        try:
-            with open(config_path, "r", encoding="utf-8") as handle:
-                file_values = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {config_path!r}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"config {config_path!r} is not UTF-8 text: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {config_path!r} is not valid JSON: {exc}") from exc
+    if args.config is not None:
+        file_values = _read_json(args.config, "config")
         if not isinstance(file_values, dict):
             raise ConfigError("config file must hold a JSON object")
 
     def pick(name, default):
+        # export-matrix lacks the verify-only flags; its config may hold them.
         cli_value = getattr(args, name, None)
         if cli_value is not None:
             return cli_value
@@ -453,28 +488,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     else:
         raise ConfigError("charts must be a string or list")
 
-    # --degrees, --c and --m-max belong to commands without --config.
-    degrees = None
-    degrees_value = getattr(args, "degrees", None)
-    if degrees_value is not None:
-        try:
-            parsed = sorted(
-                (int(tok) for tok in degrees_value.split(",")), reverse=True
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad degrees {degrees_value!r}") from exc
-        if len(parsed) != 3:
-            raise ConfigError("exactly three degrees are required")
-        degrees = tuple(parsed)
-
-    constant = None
-    constant_value = getattr(args, "c", None)
-    if constant_value is not None:
-        try:
-            constant = Fraction(constant_value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad constant {constant_value!r}") from exc
-
     return RunConfig(
         command=args.command,
         conics=conics,
@@ -485,39 +498,15 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         export_matrix=pick_path("export_matrix"),
         report=pick_path("report"),
         output=getattr(args, "output", None),
-        degrees=degrees,
-        constant=constant,
-        m_max=getattr(args, "m_max", 20),
-        digits=getattr(args, "digits", 30),
     )
 
 
-def _dump(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge_config(args)
-        if cfg.command == "verify":
-            verdict = run_verify(cfg)
-            print(_dump(verdict.as_dict()))
-            return verdict.exit_code
-        if cfg.command == "export-matrix":
-            print(_dump(run_export(cfg)))
-            return 0
-        if cfg.command == "thresholds":
-            print(_dump(run_thresholds(cfg)))
-            return 0
-        if cfg.command == "enumerate":
-            print(_dump(run_enumerate(cfg)))
-            return 0
-        if cfg.command == "tower":
-            print(_dump(run_tower(cfg)))
-            return 0
-        raise ConfigError(f"unknown command {cfg.command!r}")
+        payload, code = args.run(args)
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        return code
     except (ConfigError, IoFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -269,16 +269,15 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     free_cols = [c for c in range(system.n_vars) if c not in pivot_cols]
     # column -> {basis index: nonzero coordinate of that vector}
     values: dict[int, dict[int, int]] = {free: {k: 1} for k, free in enumerate(free_cols)}
+    basis = [{free: 1} for free in free_cols]
     for col, _, row in reversed(pivot_log):
         acc: dict[int, int] = {}
         for c, coeff in row.items():
             if c != col:
                 for k, v in values[c].items():
                     acc[k] = (acc.get(k, 0) + coeff * v) % p
-        values[col] = {k: p - a for k, a in acc.items() if a}
-    basis = [{free: 1} for free in free_cols]
-    for col, _, _ in reversed(pivot_log):
-        for k, v in values[col].items():
+        values[col] = coords = {k: p - a for k, a in acc.items() if a}
+        for k, v in coords.items():
             basis[k][col] = v
     result = _result(system, pivot_log, reduced, tuple(basis))
     assert result.nullity == len(basis)

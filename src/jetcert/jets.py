@@ -219,13 +219,6 @@ class AnsatzSpace:
     def is_vacuous(self) -> bool:
         return not self.strata
 
-    def stratum_monomials(self, degree: int) -> list[tuple[int, int, int]]:
-        return [
-            (e0, e1, degree - e0 - e1)
-            for e0 in range(degree + 1)
-            for e1 in range(degree - e0 + 1)
-        ]
-
     def counting_formula(self) -> int:
         """Closed-form unknown count (cross-checked against enumeration)."""
         total = 0
@@ -365,7 +358,7 @@ def obstruction_rows(
 
 def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[Row]:
     space = expansion.space
-    m, chart, degrees = space.m, expansion.chart, dict(space.strata)
+    m, chart = space.m, expansion.chart
 
     # A (u, v)-monomial is packed into one int of three fields, u + v
     # highest, then u, then v: ascending keys are the canonical monomial
@@ -376,7 +369,7 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[Row]:
          for exps in poly.terms for e in exps),
         default=0,
     )
-    width = (top + max(degrees.values(), default=0)).bit_length()
+    width = (top + max((d for _, d in space.strata), default=0)).bit_length()
     pack = lambda u, v: (u + v) << 2 * width | u << width | v  # noqa: E731
 
     # A chart's rows hold at most n_vars * (p - 1) distinct (column,
@@ -385,18 +378,19 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[Row]:
     # that holds it; the table is keyed by the int col * prime + coeff.
     pairs: dict[int, tuple[int, int]] = {}
 
-    # slot -> the blocks' polynomials in it, each with its block's unknowns:
-    # their columns, the divisibility bounds left after their chart shifts,
-    # and those shifts packed.
+    # (w, k) -> the block's unknowns: their columns, the divisibility bounds
+    # left after their chart shifts, and those shifts packed.
+    shifts: dict[tuple[int, int], list] = {}
+    for col, unknown in enumerate(space.columns):
+        eu, ev = chart_monomial_shift(chart, unknown.exponents)
+        shifts.setdefault((unknown.stratum, unknown.split), []).append(
+            (col, m - eu, m - ev, pack(eu, ev))
+        )
+    # slot -> the blocks' polynomials in it, each with its block's unknowns.
     by_slot: dict[tuple[int, int, int], list] = {}
-    for (w, k), slot_map in expansion.blocks.items():
-        shifts = []
-        for exps in space.stratum_monomials(degrees[w]):
-            eu, ev = chart_monomial_shift(chart, exps)
-            col = space.index[AnsatzIndex(w, k, exps)]
-            shifts.append((col, m - eu, m - ev, pack(eu, ev)))
+    for block, slot_map in expansion.blocks.items():
         for slot, poly in slot_map.items():
-            by_slot.setdefault(slot, []).append((poly, shifts))
+            by_slot.setdefault(slot, []).append((poly, shifts[block]))
 
     for slot in sorted(by_slot):
         # packed monomial -> column -> coefficient, for this slot only.  A

@@ -91,6 +91,7 @@ def test_verify_twist_three_weight_one_has_constant_stratum(capsys):
         ("verify", "--m", "3", "--t", "3", "--config", "@empty-report"),
         ("verify", "--m", "3", "--t", "3", "--config", "@empty-export-matrix"),
         ("verify", "--m", "1", "--t", "3", "--config", ""),
+        ("enumerate", "--c", "5", "--m-max", "10001"),
     ],
 )
 def test_config_errors_exit_two(capsys, tmp_path, monkeypatch, argv):
