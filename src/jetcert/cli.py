@@ -71,6 +71,11 @@ _CHART_TOKENS = {"z0": 0, "z1": 1, "z2": 2, "0": 0, "1": 1, "2": 2}
 _MAX_DIGITS = 10_000
 #: Upper bound of ``--m-max``; ``enumerate`` can list a pair for every weight.
 _MAX_M_MAX = 10_000
+#: Upper bound of ``thresholds --m``, ``--t`` and each degree; far larger
+#: ones render numbers past Python's limit for integer strings.
+_MAX_CALCULATOR_INT = 10**6
+#: Longest ``enumerate --c``; an exponent is refused before any ``Fraction``.
+_MAX_CONSTANT_CHARS = 64
 
 
 @dataclass
@@ -323,6 +328,8 @@ def run_thresholds(args: argparse.Namespace) -> tuple[dict, int]:
             raise ConfigError(f"bad degrees {args.degrees!r}") from exc
         if len(parsed) != 3:
             raise ConfigError("exactly three degrees are required")
+        if parsed[0] > _MAX_CALCULATOR_INT:
+            raise ConfigError(f"degrees must be at most {_MAX_CALCULATOR_INT}")
         degrees = tuple(parsed)
     if args.digits < 1:
         raise ConfigError(f"--digits must be at least 1, got {args.digits}")
@@ -330,6 +337,9 @@ def run_thresholds(args: argparse.Namespace) -> tuple[dict, int]:
         raise ConfigError(f"--digits must be at most {_MAX_DIGITS}, got {args.digits}")
     if (args.m is None) != (args.t is None):
         raise ConfigError("thresholds needs both --m and --t for the tau pair")
+    for flag, value in (("--m", args.m), ("--t", args.t)):
+        if value is not None and value > _MAX_CALCULATOR_INT:
+            raise ConfigError(f"{flag} must be at most {_MAX_CALCULATOR_INT}")
     try:
         report = build_threshold_report(degrees=degrees, m=args.m, t=args.t)
     except (DegenerateTotalDegree, ValueError) as exc:
@@ -338,6 +348,11 @@ def run_thresholds(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def run_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
+    if len(args.c) > _MAX_CONSTANT_CHARS or "e" in args.c.lower():
+        raise ConfigError(
+            f"--c must be a rational of at most {_MAX_CONSTANT_CHARS} characters, "
+            "without an exponent"
+        )
     try:
         constant = Fraction(args.c)
     except (ValueError, ZeroDivisionError) as exc:
@@ -442,7 +457,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     """The :class:`RunConfig` of a ``verify`` or ``export-matrix`` argv: a
     flag given on the command line wins over the ``--config`` file's key of
     the same name, which wins over the default.  File values keep their
-    JSON types; a wrong type is bad input, never coerced."""
+    JSON types; a wrong type is bad input, never coerced.  Like the
+    calculators' keys, verify's output keys are ignored by export-matrix."""
     file_values: dict = {}
     if args.config == "":
         raise ConfigError("config must not be empty")
@@ -452,8 +468,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("config file must hold a JSON object")
 
     def pick(name, default):
-        # export-matrix lacks the verify-only flags; its config may hold them.
-        cli_value = getattr(args, name, None)
+        cli_value = getattr(args, name)
         if cli_value is not None:
             return cli_value
         if name in file_values:
@@ -488,6 +503,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     else:
         raise ConfigError("charts must be a string or list")
 
+    verify = args.command == "verify"
     return RunConfig(
         command=args.command,
         conics=conics,
@@ -495,9 +511,9 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         t=pick_int("t", None),
         prime=pick_int("prime", 5),
         charts=charts,
-        export_matrix=pick_path("export_matrix"),
-        report=pick_path("report"),
-        output=getattr(args, "output", None),
+        export_matrix=pick_path("export_matrix") if verify else None,
+        report=pick_path("report") if verify else None,
+        output=None if verify else args.output,
     )
 
 

@@ -41,18 +41,8 @@ class DegenerateConic(Exception):
     """Raised when a coefficient vector is not a conic (all zero)."""
 
 
-#: Variable names of each affine chart, in (u, v) order.
-CHART_VARIABLES: dict[int, tuple[str, str]] = {
-    0: ("x", "y"),
-    1: ("t", "y"),
-    2: ("t", "x"),
-}
-
 #: Projective indices of each chart's (u, v) variables.
 CHART_AXES: dict[int, tuple[int, int]] = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-
-#: Sign of the chart identity  Z_i * J == sign * 2 * homogenized(D).
-CHART_IDENTITY_SIGN: dict[int, int] = {0: 1, 1: -1, 2: 1}
 
 #: Exponents of the six quadratic monomials, in the order of
 #: :attr:`Conic.coefficients`.
@@ -177,7 +167,6 @@ class ChartData:
     """
 
     chart: int
-    variables: tuple[str, str]
     a: MultiPoly
     b: MultiPoly
     c: MultiPoly
@@ -255,29 +244,11 @@ def chart_data(
     )
     return ChartData(
         chart=chart,
-        variables=CHART_VARIABLES[chart],
         a=dehom[0],
         b=dehom[1],
         c=dehom[2],
         det=det,
     )
-
-
-def homogenize_chart(poly: MultiPoly, chart: int, degree: int) -> MultiPoly:
-    """Lift an arity-2 chart polynomial to a degree-``degree`` form in
-    ``(Z0, Z1, Z2)`` by restoring the chart variable's power."""
-    axis_u, axis_v = CHART_AXES[chart]
-    out: dict[tuple[int, int, int], int] = {}
-    for (eu, ev), coeff in poly.terms.items():
-        missing = degree - eu - ev
-        if missing < 0:
-            raise ValueError("degree too small to homogenize this polynomial")
-        exps = [0, 0, 0]
-        exps[axis_u] = eu
-        exps[axis_v] = ev
-        exps[chart] = missing
-        out[tuple(exps)] = coeff
-    return MultiPoly(3, out, poly.modulus)
 
 
 # -- simple normal crossings -----------------------------------------------------

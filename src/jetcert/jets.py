@@ -140,13 +140,12 @@ def log_jet_forms(data: ChartData) -> LogJetForms:
 class WronskianForm:
     """The reduced 2-jet Wronskian numerator over ``a^2*b^2*c^3``.
 
-    ``reduced`` is ``L~_red`` on ``(u, v, u1, v1, W)``, linear in ``W``;
-    ``w_coefficient`` is its bivariate ``W``-coefficient ``a*b*c^2 * D``;
-    ``forms`` are the log-jet numerators it was built from, kept so that the
-    chart's frame is derived once."""
+    ``reduced`` is ``L~_red`` on ``(u, v, u1, v1, W)``, linear in ``W``
+    with the bivariate ``W``-coefficient ``a*b*c^2 * D``; ``forms`` are the
+    log-jet numerators it was built from, kept so that the chart's frame is
+    derived once."""
 
     reduced: MultiPoly
-    w_coefficient: MultiPoly
     forms: LogJetForms
 
 
@@ -162,7 +161,7 @@ def wronskian_form(data: ChartData) -> WronskianForm:
         - forms.gamma_a * forms.beta * b
         + _lift(w_coefficient) * w_var
     )
-    return WronskianForm(reduced=reduced, w_coefficient=w_coefficient, forms=forms)
+    return WronskianForm(reduced=reduced, forms=forms)
 
 
 # -- ansatz bookkeeping -----------------------------------------------------------------
@@ -215,10 +214,6 @@ class AnsatzSpace:
     def n_vars(self) -> int:
         return len(self.columns)
 
-    @property
-    def is_vacuous(self) -> bool:
-        return not self.strata
-
     def counting_formula(self) -> int:
         """Closed-form unknown count (cross-checked against enumeration)."""
         total = 0
@@ -259,14 +254,6 @@ class JetExpansion:
     space: AnsatzSpace
     modulus: int | None
     blocks: dict[tuple[int, int], dict[tuple[int, int, int], MultiPoly]]
-
-    def slots(self) -> list[tuple[int, int, int]]:
-        m = self.space.m
-        return [
-            (i, m - i - 3 * k, k)
-            for k in range(m // 3 + 1)
-            for i in range(m - 3 * k + 1)
-        ]
 
 
 def _below(poly: MultiPoly, m: int) -> MultiPoly:

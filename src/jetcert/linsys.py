@@ -124,11 +124,6 @@ def _sms_chunks(system: LinearSystem) -> Iterator[str]:
     yield "0 0 0\n"
 
 
-def export_sms(system: LinearSystem) -> str:
-    """Serialize to SMS text (byte-reproducible for equal systems)."""
-    return "".join(_sms_chunks(system))
-
-
 def sms_checksum(system: LinearSystem) -> str:
     """SHA-256 of the SMS serialization (the report's integrity anchor),
     hashed chunk by chunk without building the whole text."""

@@ -8,8 +8,7 @@ Design points:
   ``arity`` (number of variables) and a ``modulus``.  ``modulus=None``
   means exact integer or rational (``fractions.Fraction``) coefficients; a
   prime ``p`` means GF(p) with canonical representatives ``0..p-1``.  Zero
-  coefficients are never stored.  :meth:`MultiPoly.reduce_mod` needs
-  integer coefficients.
+  coefficients are never stored.
 * Products pack each exponent tuple into one int with a field of equal
   width per variable, wide enough for the sum of the two operands' largest
   exponents, so adding two packed keys adds the exponent tuples without a
@@ -25,7 +24,7 @@ Design points:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class RingMismatch(Exception):
@@ -294,41 +293,7 @@ class MultiPoly:
             out[tuple(key)] = coeff
         return MultiPoly._make(new_arity, out, self.modulus)
 
-    def reduce_mod(self, p: int) -> "MultiPoly":
-        """Image under the coefficient reduction ZZ -> GF(p)."""
-        if self.modulus is not None:
-            raise RingMismatch("reduce_mod expects integer coefficients")
-        out = {}
-        for e, c in self.terms.items():
-            c %= p
-            if c:
-                out[e] = c
-        return MultiPoly._make(self.arity, out, p)
-
-    def evaluate(self, values: Iterable):
-        """Evaluate at a point; works for any commutative coefficient targets
-        (ints, Fractions, power-series objects) that support ``+`` and ``*``."""
-        vals = list(values)
-        if len(vals) != self.arity:
-            raise ValueError("wrong number of values")
-        total = 0
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exps):
-                for _ in range(e):
-                    term = term * v
-            total = total + term
-        if self.modulus is not None and isinstance(total, int):
-            total %= self.modulus
-        return total
-
     # -- structure inspection ----------------------------------------------------
-
-    def total_degree(self) -> int:
-        """Maximum total degree of any term (-1 for the zero polynomial)."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def coefficient_map(
         self, variables: tuple[int, ...]
@@ -359,13 +324,3 @@ def _pack(exps: tuple[int, ...], width: int) -> int:
     for e in exps:
         key = key << width | e
     return key
-
-
-# -- free functions mirroring the public contract --------------------------------
-
-
-def evaluate_fraction(f: MultiPoly, values: Iterable[Fraction]) -> Fraction:
-    """Exact rational evaluation convenience wrapper."""
-    if f.modulus is not None:
-        raise RingMismatch("rational evaluation expects integer coefficients")
-    return Fraction(f.evaluate(values))

@@ -292,19 +292,6 @@ class OneJetThresholds:
     delta2: QuadExt | None
     threshold_constant: QuadExt | None
 
-    def phi(self, delta) -> Fraction:
-        """The quadratic whose positive roots bound the twist ratio."""
-        d = self.degrees.total
-        delta = Fraction(delta)
-        lead = Fraction((d - 3) ** 2)
-        return (
-            lead * delta**2
-            - lead * delta
-            + Fraction(self.degrees.pair_sum, 3)
-            - d
-            + 2
-        )
-
 
 def delta1(degrees: DegreeTriple) -> OneJetThresholds:
     """1-jet threshold data for three curves of the given degrees."""
@@ -428,28 +415,26 @@ def codimensions(element: MultiPoly) -> set[int]:
     return {sum(e * w for e, w in zip(key, _WEIGHTS)) for key in element.terms}
 
 
-def tower_reduce(element: MultiPoly, *, prefer: str = "u1") -> MultiPoly:
+def tower_reduce(element: MultiPoly) -> MultiPoly:
     """Normal form with every term's ``u1``- and ``u2``-exponent at most 1.
 
-    The two fiber relations are the only rewrite rules.  ``prefer`` selects
-    which rule fires first when a term violates both bounds; the normal form
-    is independent of that choice (the rewriting is confluent), which the
-    tests exercise explicitly."""
-    if prefer not in ("u1", "u2"):
-        raise ValueError("prefer must be 'u1' or 'u2'")
-    first_slot = 0 if prefer == "u1" else 1
+    The two fiber relations are the only rewrite rules; the ``u1`` one fires
+    first when a term violates both bounds.  The normal form does not depend
+    on that order (the rewriting is confluent), which the tests check with a
+    reducer of their own that fires the ``u2`` rule first."""
     pending = dict(element.terms)
     settled: dict[tuple[int, ...], Fraction] = {}
     while pending:
         key, value = pending.popitem()
         if not value:
             continue
-        slots = [s for s in (first_slot, 1 - first_slot) if key[s] >= 2]
-        if not slots:
+        if key[0] >= 2:
+            slot, rule = 0, _U1_SQUARE
+        elif key[1] >= 2:
+            slot, rule = 1, _U2_SQUARE
+        else:
             settled[key] = settled.get(key, 0) + value
             continue
-        slot = slots[0]
-        rule = _U1_SQUARE if slot == 0 else _U2_SQUARE
         stripped = list(key)
         stripped[slot] -= 2
         for rkey, rvalue in rule.terms.items():

@@ -4,10 +4,12 @@ and the six-variable reference for the jet frame)."""
 from __future__ import annotations
 
 import random
+from pathlib import Path
 from typing import NamedTuple
 
 from jetcert.conics import ChartData
 from jetcert.jets import AnsatzSpace, JetExpansion, chart_monomial_shift
+from jetcert.linsys import LinearSystem, write_sms
 from jetcert.polynomials import MultiPoly
 
 
@@ -27,6 +29,52 @@ def random_poly(
         coeff = rng.randint(coeff_low, coeff_high)
         terms[exps] = terms.get(exps, 0) + coeff
     return MultiPoly(arity, terms, modulus)
+
+
+def reduce_mod(f: MultiPoly, p: int) -> MultiPoly:
+    """The image of an integer polynomial under ZZ -> GF(p)."""
+    return MultiPoly(f.arity, f.terms, p)
+
+
+def evaluate(poly: MultiPoly, values):
+    """``poly`` at a point whose coordinates multiply with its coefficients
+    and with each other: ints, Fractions, complex numbers, or polynomials
+    such as the jets of a curve."""
+    total = 0
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for value, e in zip(values, exps, strict=True):
+            term = term * value**e
+        total = total + term
+    return total
+
+
+def sms_text(system: LinearSystem, directory: Path) -> str:
+    """The SMS text of ``system``, written by ``write_sms`` into
+    ``directory`` and read back byte for byte."""
+    path = directory / "system.sms"
+    write_sms(system, str(path))
+    return path.read_bytes().decode("ascii")
+
+
+def tower_reduce_u2_first(element: MultiPoly) -> MultiPoly:
+    """The tower normal form, rewriting ``u2^2`` before ``u1^2`` wherever a
+    term allows both, by the two fiber relations
+    ``u1^2 = -c1*u1 - c2`` and ``u2^2 = -(c1 + u1)*u2 - (2*c2 + c1*u1)``
+    on the classes ``(u1, u2, h, c1, c2)``."""
+    u1, u2, c1, c2 = (MultiPoly.variable(5, i) for i in (0, 1, 3, 4))
+    squares = {1: -(c1 + u1) * u2 - (c2 * 2 + c1 * u1), 0: -(c1 * u1) - c2}
+    out = MultiPoly.zero(5)
+    for key, value in element.terms.items():
+        slot = next((s for s in (1, 0) if key[s] >= 2), None)
+        if slot is None:
+            out = out + MultiPoly(5, {key: value})
+            continue
+        lowered = list(key)
+        lowered[slot] -= 2
+        rest = MultiPoly(5, {tuple(lowered): value}) * squares[slot]
+        out = out + tower_reduce_u2_first(rest)
+    return out
 
 
 # -- the six-variable reference for the jet frame ---------------------------------

@@ -26,7 +26,7 @@ from jetcert.gflinalg import (
     verify_solution,
 )
 from jetcert.jets import AnsatzSpace, case_m3_dim_counts, expand_ansatz, twist_lowering_embedding, wronskian_solution_vector
-from jetcert.linsys import assemble, export_sms, import_sms, sms_checksum
+from jetcert.linsys import assemble, import_sms, sms_checksum
 from jetcert.polynomials import MultiPoly
 from jetcert.thresholds import (
     H,
@@ -44,7 +44,7 @@ from jetcert.thresholds import (
     z_cube_intersection,
 )
 
-from _util import random_poly, reduce_blocks, reference_blocks
+from _util import random_poly, reduce_blocks, reduce_mod, reference_blocks, sms_text
 
 FERMAT = PRESET_TRIPLES["fermat"]
 PRIME = 5
@@ -85,11 +85,13 @@ def test_dimension_counts_for_weight_three_divisibility():
 
 # -- vanishing certifications --------------------------------------------------------
 
-GATING_PAIRS = [(3, 3), (4, 3), (4, 4), (5, 4), (5, 5)]
-EXTENDED_PAIRS = [(6, 5), (6, 6), (7, 5), (7, 7), (8, 6), (9, 7), (10, 7)]
-# The rest of the c = 5 list, with the unknown counts: about a minute of
-# assembly and elimination, under 400 MB.
-STRETCH_PAIRS = {(11, 8): 6840, (12, 9): 8990, (13, 9): 12550}
+# The pairs the enumerator flags for c = 5 and c = 19, tiered by weight.
+# The stretch tier is about a minute of assembly and elimination, under
+# 400 MB.
+CERTIFIED_PAIRS = sorted(set(exceptional_pairs(5, 20)) | set(exceptional_pairs(19, 20)))
+GATING_PAIRS = [(m, t) for m, t in CERTIFIED_PAIRS if m <= 5]
+EXTENDED_PAIRS = [(m, t) for m, t in CERTIFIED_PAIRS if 6 <= m <= 10]
+STRETCH_PAIRS = [(m, t) for m, t in CERTIFIED_PAIRS if m >= 11]
 CONTROL_PAIRS = [(3, 0), (4, 0), (5, 0)]
 # SHA-256 of each assembled system's SMS text (fermat, p = 5, charts z0,z2).
 SYSTEM_SHA256 = {
@@ -139,8 +141,9 @@ def test_control_system_digest(m, t):
 
 
 def test_certified_pairs_cover_the_enumerated_list():
-    certified = set(GATING_PAIRS) | set(EXTENDED_PAIRS) | set(STRETCH_PAIRS)
-    assert set(exceptional_pairs(Fraction(5), 20)) <= certified
+    """Every enumerated pair and every control has a pinned digest, and no
+    other pair does."""
+    assert set(SYSTEM_SHA256) == set(CERTIFIED_PAIRS) | set(CONTROL_PAIRS)
 
 
 @pytest.mark.extended
@@ -154,7 +157,7 @@ def test_extended_certification(m, t):
 
 
 @pytest.mark.stretch
-@pytest.mark.parametrize("m,t", list(STRETCH_PAIRS))
+@pytest.mark.parametrize("m,t", STRETCH_PAIRS)
 def test_stretch_certification(m, t):
     timings = {}
     start = time.perf_counter()
@@ -177,7 +180,6 @@ def test_stretch_certification(m, t):
             }
         )
     )
-    assert system.n_vars == STRETCH_PAIRS[(m, t)]
     assert outcome.nullity == 0
     assert outcome.rank == system.n_vars
     # Rows are built and deduplicated slot by slot, and a chart's rows share
@@ -298,8 +300,8 @@ def test_reduction_is_a_ring_homomorphism_bulk():
     for _ in range(1000):
         f = random_poly(rng, 2, max_degree=5, n_terms=6)
         g = random_poly(rng, 2, max_degree=5, n_terms=6)
-        assert (f * g).reduce_mod(PRIME) == f.reduce_mod(PRIME) * g.reduce_mod(PRIME)
-        assert (f + g).reduce_mod(PRIME) == f.reduce_mod(PRIME) + g.reduce_mod(PRIME)
+        assert reduce_mod(f * g, PRIME) == reduce_mod(f, PRIME) * reduce_mod(g, PRIME)
+        assert reduce_mod(f + g, PRIME) == reduce_mod(f, PRIME) + reduce_mod(g, PRIME)
 
 
 def test_unit_factor_never_changes_divisibility():
@@ -350,9 +352,9 @@ def test_twist_lowering_embeds_solution_spaces():
         assert in_row_span(sys_low, tuple(low_basis), embedded)
 
 
-def test_sms_round_trip_is_byte_exact():
+def test_sms_round_trip_is_byte_exact(tmp_path):
     system = assemble(FERMAT, 4, 3, PRIME)
-    text = export_sms(system)
+    text = sms_text(system, tmp_path)
     again = import_sms(text, PRIME)
-    assert export_sms(again) == text
+    assert sms_text(again, tmp_path) == text
     assert again == system

@@ -92,6 +92,10 @@ def test_verify_twist_three_weight_one_has_constant_stratum(capsys):
         ("verify", "--m", "3", "--t", "3", "--config", "@empty-export-matrix"),
         ("verify", "--m", "1", "--t", "3", "--config", ""),
         ("enumerate", "--c", "5", "--m-max", "10001"),
+        ("enumerate", "--c", "1e4000", "--m-max", "5"),
+        ("thresholds", "--m", "9" * 2500, "--t", "1"),
+        ("thresholds", "--degrees", "9" * 2500 + ",2,2"),
+        ("enumerate", "--c", "1e100000"),
     ],
 )
 def test_config_errors_exit_two(capsys, tmp_path, monkeypatch, argv):
@@ -354,6 +358,26 @@ def test_verify_config_ignores_calculator_keys(capsys, tmp_path):
     code, payload = run_json(capsys, "verify", "--config", str(config))
     assert code == 0
     assert payload["result"]["verdict"] == "vanishing-certified"
+
+
+@pytest.mark.parametrize(
+    "values",
+    [{"report": "r.json"}, {"export_matrix": "z.sms"}, {"report": ""}],
+    ids=["report", "export-matrix", "empty-report"],
+)
+def test_export_matrix_config_ignores_verify_output_keys(
+    capsys, tmp_path, monkeypatch, values
+):
+    # report and export_matrix are verify's outputs; export-matrix neither
+    # writes nor checks them, as verify ignores the calculators' keys.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"m": 3, "t": 3, **values}))
+    code, payload = run_json(
+        capsys, "export-matrix", "--config", "run.json", "--output", "y.sms"
+    )
+    assert code == 0
+    assert payload["output"] == "y.sms"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json", "y.sms"]
 
 
 def test_parse_charts_variants():

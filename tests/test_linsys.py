@@ -12,7 +12,6 @@ from jetcert.linsys import (
     IoFailure,
     LinearSystem,
     assemble,
-    export_sms,
     import_sms,
     merge_rows,
     read_sms,
@@ -20,31 +19,33 @@ from jetcert.linsys import (
     write_sms,
 )
 
+from _util import sms_text
+
 FERMAT = PRESET_TRIPLES["fermat"]
 
 
-def test_sms_single_entry_exact_bytes():
+def test_sms_single_entry_exact_bytes(tmp_path):
     system = LinearSystem(prime=5, n_vars=1, rows=(((0, 1),),))
-    assert export_sms(system) == "1 1 M\n1 1 1\n0 0 0\n"
+    assert sms_text(system, tmp_path) == "1 1 M\n1 1 1\n0 0 0\n"
 
 
-def test_sms_empty_system_exact_bytes():
+def test_sms_empty_system_exact_bytes(tmp_path):
     system = LinearSystem(prime=5, n_vars=0, rows=())
-    assert export_sms(system) == "0 0 M\n0 0 0\n"
+    assert sms_text(system, tmp_path) == "0 0 M\n0 0 0\n"
 
 
-def test_sms_round_trip_assembled_system():
+def test_sms_round_trip_assembled_system(tmp_path):
     system = assemble(FERMAT, 3, 3, 5)
-    text = export_sms(system)
+    text = sms_text(system, tmp_path)
     back = import_sms(text, 5)
     assert back == system
-    assert export_sms(back) == text
+    assert sms_text(back, tmp_path) == text
     assert sms_checksum(back) == sms_checksum(system)
 
 
-def test_sms_checksum_is_sha256_of_text():
+def test_sms_checksum_is_sha256_of_text(tmp_path):
     system = assemble(FERMAT, 3, 3, 5)
-    expected = hashlib.sha256(export_sms(system).encode("ascii")).hexdigest()
+    expected = hashlib.sha256(sms_text(system, tmp_path).encode("ascii")).hexdigest()
     assert sms_checksum(system) == expected
     other = assemble(FERMAT, 3, 0, 5)
     assert sms_checksum(other) != expected
