@@ -16,10 +16,10 @@ merge their flags with ``--config`` into a :class:`RunConfig`; the calculators
 ``thresholds``, ``enumerate`` and ``tower`` read argv alone.
 
 Bad input, including a singular or repeated conic, two tangent conics, three
-conics through one point, or a prime modulo which a conic is singular, exits 2
-with a one-line reason.  Any other exception is reported on one stderr line as
-``error: internal: <Type>: <message>`` with exit code 4, so that a crash is
-never mistaken for a verdict.
+conics through one point, or a prime modulo which a conic is singular or two
+conics are equal up to scale, exits 2 with a one-line reason.  Any other
+exception is reported on one stderr line as ``error: internal: <Type>:
+<message>`` with exit code 4, so that a crash is never mistaken for a verdict.
 
 Reports are JSON with sorted keys and are byte-deterministic for a fixed
 configuration except for the ``timings`` block.
@@ -194,7 +194,9 @@ def check_configuration(triple: ConicTriple, prime: int) -> MultiPoly:
     two tangent conics or a point on all three, either of which breaks the
     simple normal crossings that carry the certificate to the generic
     triple; a prime modulo which some conic is singular (the chart reduction
-    degenerates there; always so at p = 2)."""
+    degenerates there; always so at p = 2); a prime modulo which two conics
+    are equal up to scale, every 2x2 minor of their rows 0 mod p (then
+    ``alpha``, ``beta`` or ``X - Y`` is 0, so ansatz columns vanish or repeat)."""
     conics = triple.conics()
     for pos, conic in enumerate(conics, start=1):
         if not conic.is_smooth():
@@ -214,6 +216,13 @@ def check_configuration(triple: ConicTriple, prime: int) -> MultiPoly:
         if conic.determinant() % prime == 0:
             raise ConfigError(
                 f"conic {pos} {conic.coefficients} is singular mod {prime}; "
+                "choose another prime"
+            )
+    for i, j in pairs:
+        minors = combinations(zip(conics[i].coefficients, conics[j].coefficients), 2)
+        if all((x * y2 - y * x2) % prime == 0 for (x, x2), (y, y2) in minors):
+            raise ConfigError(
+                f"conics {i + 1} and {j + 1} are equal up to scale mod {prime}; "
                 "choose another prime"
             )
     return jacobian

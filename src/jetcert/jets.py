@@ -50,7 +50,11 @@ conics ``a, b, c``:
     exponent, so a factor term with both degrees at least ``m`` feeds only
     product terms with both degrees at least ``m``; the factors, every power
     and every partial product are therefore cut back as they are formed,
-    which keeps about a third of the terms.
+    which keeps about a third of the terms.  From the three factors to the
+    slot split, a polynomial is a map from a packed int key (one field per
+    variable, ``u`` highest) to its coefficient: products add keys, the cut
+    reads each key's ``u`` and ``v`` fields, and keys become exponent tuples
+    only when a block is split into its slots.
 5.  Obstruction rows (:func:`obstruction_rows`): a global section's cleared
     numerator must be divisible by ``u^m * v^m`` (times factors of ``a, b, c``,
     which are units for this question since a smooth conic contains no
@@ -80,7 +84,7 @@ from math import comb
 from typing import Iterator
 
 from .conics import CHART_AXES, ChartData
-from .polynomials import MultiPoly
+from .polynomials import MultiPoly, _pack, _packed_product
 
 # Variable layout of the frame stage: (u, v, u1, v1, W).
 _U1, _V1, _W = 2, 3, 4
@@ -256,22 +260,6 @@ class JetExpansion:
     blocks: dict[tuple[int, int], dict[tuple[int, int, int], MultiPoly]]
 
 
-def _below(poly: MultiPoly, m: int) -> MultiPoly:
-    """``poly`` modulo ``u^m * v^m``: the terms with ``u``-degree < m or
-    ``v``-degree < m, the only ones an obstruction row reads."""
-    kept = {e: c for e, c in poly.terms.items() if e[0] < m or e[1] < m}
-    return MultiPoly._make(poly.arity, kept, poly.modulus)
-
-
-def _powers(base: MultiPoly, top: int, m: int) -> list[MultiPoly]:
-    """``base^0 .. base^top`` modulo ``u^m * v^m``."""
-    base = _below(base, m)
-    out = [MultiPoly.constant(base.arity, 1, base.modulus)]
-    for _ in range(top):
-        out.append(_below(out[-1] * base, m))
-    return out
-
-
 def expand_ansatz(
     data: ChartData, space: AnsatzSpace, *, parallel: bool = False
 ) -> JetExpansion:
@@ -281,12 +269,12 @@ def expand_ansatz(
     :func:`wronskian_form`, which also yields the chart's log-jet forms.
     Each block is then the exact product
     ``B_{w,k} = C_w * X^(n-k) * Y^k`` (``n = m - 3w``, ``X = alpha*b``,
-    ``Y = beta*a``, ``C_w = L~_red^w * (a*b)^w * (u*v)^(2w)``).  The powers of
-    ``X``, ``Y`` and ``C_1`` are computed once per chart and shared by all
-    strata, so the expansion performs multiplications only, never a
-    division.  Factors, powers and partial products are all kept modulo
-    ``u^m * v^m`` (see the module docstring).  The tests recompute every
-    block from the six-variable ``L~`` the slow way, as a reference.
+    ``Y = beta*a``, ``C_w = L~_red^w * (a*b)^w * (u*v)^(2w)``).  The three
+    factors are packed once, in fields that hold ``deg(X)*m + deg(Y)*m +
+    deg(C_1)*max_w`` (``deg`` the largest exponent); their powers, shared by
+    all strata, and the blocks are products of packed maps, never a
+    division, kept modulo ``u^m * v^m`` (module docstring, step 4).  The
+    tests recompute every block from the six-variable ``L~`` as a reference.
 
     ``parallel`` is ignored.  The expansion is always serial; the keyword is
     kept only because the benchmark's traced replay (``perfbench/traced.py``)
@@ -296,16 +284,38 @@ def expand_ansatz(
     uv = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
     wf = wronskian_form(data)
     max_w = max((w for w, _ in space.strata), default=0)
-    x_pows = _powers(wf.forms.alpha * _lift(data.b), m, m)
-    y_pows = _powers(wf.forms.beta * _lift(data.a), m, m)
-    c_pows = _powers(wf.reduced * _lift(data.a * data.b * uv * uv), max_w, m)
+    factors = (wf.forms.alpha * _lift(data.b), wf.forms.beta * _lift(data.a),
+               wf.reduced * _lift(data.a * data.b * uv * uv))
+    powers = (m, m, max_w)
+    width = sum(max(map(max, f.terms), default=0) * n
+                for f, n in zip(factors, powers)).bit_length()
+    mask, low = (1 << width) - 1, (1 << 3 * width) - 1
+    u_shift, v_shift = 4 * width, 3 * width
+    u_floor = m << u_shift  # the least key of u-degree m
+
+    def times(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+        return {k: c for k, c in _packed_product(f, g, modulus).items()
+                if k < u_floor or k >> v_shift & mask < m}
+
+    x_pows, y_pows, c_pows = pows = ([{0: 1}], [{0: 1}], [{0: 1}])
+    for factor, n, out in zip(factors, powers, pows):
+        base = {_pack(e, width): c for e, c in factor.terms.items()
+                if e[0] < m or e[1] < m}
+        for _ in range(n):
+            out.append(times(out[-1], base))
 
     blocks: dict[tuple[int, int], dict[tuple[int, int, int], MultiPoly]] = {}
     for w, _ in space.strata:
         for k in range(m - 3 * w + 1):
-            poly = _below(c_pows[w] * x_pows[m - 3 * w - k], m)
-            poly = _below(poly * y_pows[k], m)
-            blocks[(w, k)] = poly.coefficient_map((_U1, _V1, _W))
+            block = times(times(c_pows[w], x_pows[m - 3 * w - k]), y_pows[k])
+            slots: dict[int, dict[tuple[int, int], int]] = {}  # by (u1, v1, W)
+            for key, c in block.items():
+                slots.setdefault(key & low, {})[key >> u_shift, key >> v_shift & mask] = c
+            blocks[(w, k)] = {
+                (slot >> 2 * width, slot >> width & mask, slot & mask):
+                    MultiPoly._make(2, terms, modulus)
+                for slot, terms in slots.items()
+            }
     return JetExpansion(chart=data.chart, space=space, modulus=modulus, blocks=blocks)
 
 
@@ -351,11 +361,8 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[Row]:
     # highest, then u, then v: ascending keys are the canonical monomial
     # order, and packed keys add field by field.  The u and v fields hold
     # the largest block exponent plus the largest shift.
-    top = max(
-        (e for slot_map in expansion.blocks.values() for poly in slot_map.values()
-         for exps in poly.terms for e in exps),
-        default=0,
-    )
+    top = max((max(map(max, poly.terms)) for slot_map in expansion.blocks.values()
+               for poly in slot_map.values()), default=0)
     width = (top + max((d for _, d in space.strata), default=0)).bit_length()
     pack = lambda u, v: (u + v) << 2 * width | u << width | v  # noqa: E731
 
@@ -382,25 +389,27 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[Row]:
     for slot in sorted(by_slot):
         # packed monomial -> column -> coefficient, for this slot only.  A
         # column meets each monomial of a slot at most once, so nothing is
-        # summed.
+        # summed, and a coefficient reduced once per term stays canonical.
         buckets: dict[int, dict[int, int]] = {}
         for poly, shifts in by_slot[slot]:
-            strip = [(su, sv, pack(su, sv), c) for (su, sv), c in poly.terms.items()]
+            strip = [(su, sv, pack(su, sv), r)
+                     for (su, sv), c in poly.terms.items() if (r := c % prime)]
             for col, bound_u, bound_v, shift in shifts:
                 for su, sv, key, coeff in strip:
                     if su < bound_u or sv < bound_v:
-                        buckets.setdefault(key + shift, {})[col] = coeff
+                        bucket = buckets.get(at := key + shift)
+                        if bucket is None:
+                            buckets[at] = {col: coeff}
+                        else:
+                            bucket[col] = coeff
         for _, bucket in sorted(buckets.items()):
+            cols = sorted(bucket)
+            inverse = pow(bucket[cols[0]], prime - 2, prime)
             row = []
-            for col in sorted(bucket):
-                coeff = bucket[col] % prime
-                if coeff:
-                    if not row:
-                        inverse = pow(coeff, prime - 2, prime)
-                    pair = col * prime + coeff * inverse % prime
-                    row.append(pairs.get(pair) or pairs.setdefault(pair, divmod(pair, prime)))
-            if row:
-                yield tuple(row)
+            for col in cols:
+                pair = col * prime + bucket[col] * inverse % prime
+                row.append(pairs.get(pair) or pairs.setdefault(pair, divmod(pair, prime)))
+            yield tuple(row)
 
 
 # -- reference dimensions and distinguished vectors -----------------------------------

@@ -12,9 +12,11 @@ Design points:
 * Products pack each exponent tuple into one int with a field of equal
   width per variable, wide enough for the sum of the two operands' largest
   exponents, so adding two packed keys adds the exponent tuples without a
-  carry between fields.  Keys are unpacked once per output term; ``terms``
-  keeps tuple keys.  (Monagan & Pearce, "Polynomial division using dynamic
-  arrays, heaps, and packed exponent vectors", CASC 2007.)
+  carry between fields.  The one product loop, :func:`_packed_product`,
+  multiplies packed maps: ``__mul__`` packs, calls it and unpacks (``terms``
+  keeps tuple keys), and the jet expansion keeps its maps packed between
+  products.  (Monagan & Pearce, "Polynomial division using dynamic arrays,
+  heaps, and packed exponent vectors", CASC 2007.)
 * There is no polynomial division: the jet pipeline builds every polynomial it needs
   from sums and products (``jets`` module docstring, steps 2 and 4).
 * There is deliberately no rational-function type: denominators in the jet
@@ -197,29 +199,13 @@ class MultiPoly:
         f, g = self.terms, other.terms
         if not f or not g:
             return MultiPoly.zero(self.arity, p)
-        # Pack each exponent tuple into one int, one field of ``width`` bits
-        # per variable.  The field holds the largest exponent sum, so adding
-        # two packed keys never carries into the next field.
+        # One field per variable, wide enough for the largest exponent sum.
         width = (max(map(max, f)) + max(map(max, g))).bit_length() if self.arity else 0
-        shifts = [width * i for i in reversed(range(self.arity))]
-        # Iterate over the smaller operand in the outer loop.
-        if len(f) > len(g):
-            f, g = g, f
-        packed = [(_pack(e, width), c) for e, c in g.items()]
-        out: dict[int, int] = {}
-        get = out.get
-        for e1, c1 in f.items():
-            k1 = _pack(e1, width)
-            for k2, c2 in packed:
-                key = k1 + k2
-                out[key] = get(key, 0) + c1 * c2
+        product = _packed_product({_pack(e, width): c for e, c in f.items()},
+                                  {_pack(e, width): c for e, c in g.items()}, p)
         mask = (1 << width) - 1
-        terms = {}
-        for key, c in out.items():
-            if p is not None:
-                c %= p
-            if c:
-                terms[tuple(key >> s & mask for s in shifts)] = c
+        shifts = [width * i for i in reversed(range(self.arity))]
+        terms = {tuple([key >> s & mask for s in shifts]): c for key, c in product.items()}
         return MultiPoly._make(self.arity, terms, p)
 
     __rmul__ = __mul__
@@ -293,30 +279,6 @@ class MultiPoly:
             out[tuple(key)] = coeff
         return MultiPoly._make(new_arity, out, self.modulus)
 
-    # -- structure inspection ----------------------------------------------------
-
-    def coefficient_map(
-        self, variables: tuple[int, ...]
-    ) -> dict[tuple[int, ...], "MultiPoly"]:
-        """Group terms by their exponents in ``variables``.
-
-        Returns a map from the exponent pattern on ``variables`` to the
-        polynomial (in the remaining variables, original order) multiplying it.
-        """
-        var_set = set(variables)
-        if len(var_set) != len(variables):
-            raise ValueError("variables must be distinct")
-        keep = [i for i in range(self.arity) if i not in var_set]
-        out: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for exps, coeff in self.terms.items():
-            pattern = tuple(exps[i] for i in variables)
-            rest = tuple(exps[i] for i in keep)
-            out.setdefault(pattern, {})[rest] = coeff
-        return {
-            pattern: MultiPoly._make(len(keep), terms, self.modulus)
-            for pattern, terms in out.items()
-        }
-
 
 def _pack(exps: tuple[int, ...], width: int) -> int:
     """One int holding ``exps`` in ``width``-bit fields, first variable highest."""
@@ -324,3 +286,23 @@ def _pack(exps: tuple[int, ...], width: int) -> int:
     for e in exps:
         key = key << width | e
     return key
+
+
+def _packed_product(
+    f: dict[int, int], g: dict[int, int], modulus: int | None
+) -> dict[int, int]:
+    """The product of two polynomials held as ``packed key -> coefficient``
+    maps (see :func:`_pack`), whose fields are wide enough that adding two
+    keys never carries.  Coefficients come out canonical and nonzero."""
+    if len(f) > len(g):  # the smaller operand in the outer loop
+        f, g = g, f
+    inner = list(g.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in f.items():
+        for k2, c2 in inner:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    if modulus is None:
+        return {key: c for key, c in out.items() if c}
+    return {key: r for key, c in out.items() if (r := c % modulus)}

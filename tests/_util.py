@@ -49,6 +49,25 @@ def evaluate(poly: MultiPoly, values):
     return total
 
 
+def coefficient_map(
+    poly: MultiPoly, variables: tuple[int, ...]
+) -> dict[tuple[int, ...], MultiPoly]:
+    """Group the terms of ``poly`` by their exponents in ``variables``: a map
+    from each exponent pattern on ``variables`` to the polynomial (in the
+    remaining variables, original order) multiplying it."""
+    if len(set(variables)) != len(variables):
+        raise ValueError("variables must be distinct")
+    keep = [i for i in range(poly.arity) if i not in variables]
+    out: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for exps, coeff in poly.terms.items():
+        pattern = tuple(exps[i] for i in variables)
+        out.setdefault(pattern, {})[tuple(exps[i] for i in keep)] = coeff
+    return {
+        pattern: MultiPoly(len(keep), terms, poly.modulus)
+        for pattern, terms in out.items()
+    }
+
+
 def sms_text(system: LinearSystem, directory: Path) -> str:
     """The SMS text of ``system``, written by ``write_sms`` into
     ``directory`` and read back byte for byte."""
@@ -189,7 +208,7 @@ def reference_reduced(data: ChartData) -> MultiPoly:
     ``(u2, v2)``-part that ``u1*v2 - v1*u2`` divides exactly."""
     tilde = reference_tilde(data)
     modulus = tilde.modulus
-    parts = tilde.coefficient_map((4, 5))
+    parts = coefficient_map(tilde, (4, 5))
     if any(sum(pattern) > 1 for pattern in parts):
         raise AssertionError(f"L~ is not linear in (u2, v2): {sorted(parts)}")
     zero4 = MultiPoly.zero(4, modulus)
@@ -226,7 +245,7 @@ def full_block(
         (data.a ** (w + k)) * (data.b ** (m - 2 * w - k)) * (uv ** (2 * w))
     )
     # Substitute v2 = (W + u2*v1)/u1, cleared by u1^w.
-    by_v2 = product.coefficient_map((5,))
+    by_v2 = coefficient_map(product, (5,))
     u1 = MultiPoly.variable(7, 2, modulus)
     v1 = MultiPoly.variable(7, 3, modulus)
     u2 = MultiPoly.variable(7, 4, modulus)
@@ -240,11 +259,11 @@ def full_block(
         ) * (w_var + u2 * v1) ** d * u1 ** (w - d)
     if degree_in(replaced, 4) > 0:
         raise AssertionError("u2 survived the Wronskian elimination")
-    collapsed = replaced.coefficient_map((4, 5)).get(
+    collapsed = coefficient_map(replaced, (4, 5)).get(
         (0, 0), MultiPoly.zero(5, modulus)
     )
     block = exact_div(collapsed, MultiPoly.variable(5, 2, modulus) ** w)
-    return block.coefficient_map((2, 3, 4))
+    return coefficient_map(block, (2, 3, 4))
 
 
 def reference_blocks(data: ChartData, space: AnsatzSpace) -> dict:

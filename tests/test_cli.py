@@ -129,6 +129,8 @@ REPEATED = [[2, 1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [-4, -2, -2, 0, 0, 0]]
 TANGENT = [[0, -1, 0, 0, 1, 0], [0, -1, 1, 0, 1, 0], [1, 1, 2, 0, 0, 0]]
 # Pairwise transverse, all three through [0:0:1].
 SHARED_POINT = [[0, -1, 0, 0, 1, 0], [-1, 0, 0, 0, 0, 1], [-1, -1, 0, 0, 1, 1]]
+# Smooth mod 3, but conic 3 is twice conic 1 mod 3.
+SCALED_MOD_3 = [[2, -1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [1, 1, 2, 0, 0, 0]]
 
 
 @pytest.mark.parametrize(
@@ -143,6 +145,10 @@ SHARED_POINT = [[0, -1, 0, 0, 1, 0], [-1, 0, 0, 0, 0, 1], [-1, -1, 0, 0, 1, 1]]
         ("export-matrix", TANGENT, 5, "conics 1 and 2 are tangent"),
         ("verify", SHARED_POINT, 5, "the three conics share a point"),
         ("export-matrix", SHARED_POINT, 5, "the three conics share a point"),
+        ("verify", SCALED_MOD_3, 3,
+         "conics 1 and 3 are equal up to scale mod 3; choose another prime"),
+        ("export-matrix", SCALED_MOD_3, 3,
+         "conics 1 and 3 are equal up to scale mod 3; choose another prime"),
     ],
 )
 def test_degenerate_input_exits_two(capsys, tmp_path, command, conics, prime, reason):

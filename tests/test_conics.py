@@ -22,7 +22,7 @@ from jetcert.conics import (
 )
 from jetcert.polynomials import MultiPoly
 
-from _util import evaluate
+from _util import coefficient_map, evaluate
 
 FERMAT = PRESET_TRIPLES["fermat"]
 CASE72 = PRESET_TRIPLES["case72"]
@@ -87,7 +87,7 @@ def _quadratic_resultant_in_y(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     polynomial in x: (AF - CD)^2 - (AE - BD)(BF - CE) for f = Ay^2 + By + C
     and g = Dy^2 + Ey + F."""
     zero = MultiPoly.zero(1)
-    cf, cg = f.coefficient_map((1,)), g.coefficient_map((1,))
+    cf, cg = coefficient_map(f, (1,)), coefficient_map(g, (1,))
     a, b, c = (cf.get((k,), zero) for k in (2, 1, 0))
     d, e, f_ = (cg.get((k,), zero) for k in (2, 1, 0))
     return (a * f_ - c * d) ** 2 - (a * e - b * d) * (b * f_ - c * e)

@@ -35,6 +35,7 @@ from jetcert.jets import (
 from jetcert.polynomials import MultiPoly
 
 from _util import (
+    coefficient_map,
     evaluate,
     reduce_blocks,
     reference_blocks,
@@ -132,9 +133,9 @@ def test_w_coefficient_is_abc_squared_times_determinant():
         for chart in (0, 1, 2):
             data = chart_data(preset, chart)
             expected = data.a * data.b * data.c * data.c * data.det
-            closed = wronskian_form(data).reduced.coefficient_map((2, 3, 4))
+            closed = coefficient_map(wronskian_form(data).reduced, (2, 3, 4))
             assert closed[(0, 0, 1)] == expected
-            by_jet = reference_reduced(data).coefficient_map((2, 3, 4))
+            by_jet = coefficient_map(reference_reduced(data), (2, 3, 4))
             assert {pattern for pattern in by_jet if pattern[2]} == {(0, 0, 1)}
             assert by_jet[(0, 0, 1)] == expected
 
@@ -161,7 +162,7 @@ def test_closed_form_matches_the_reference_on_random_triples(modulus):
             assert closed.reduced == reference_reduced(data)
             forms = reference_forms(data)
             for name in ("alpha", "beta", "gamma_a", "gamma_b"):
-                at_zero = getattr(forms, name).coefficient_map((4, 5)).get(
+                at_zero = coefficient_map(getattr(forms, name), (4, 5)).get(
                     (0, 0), MultiPoly.zero(4, modulus)
                 )
                 assert getattr(closed.forms, name) == at_zero.embed(5, (0, 1, 2, 3))
@@ -263,7 +264,7 @@ def test_expansion_slots_and_denominators():
     u, v, u1, v1, w_jet = point
     forms = reference_forms(data)
     alpha, beta = (
-        evaluate(form.coefficient_map((4, 5))[(0, 0)], point[:4])
+        evaluate(coefficient_map(form, (4, 5))[(0, 0)], point[:4])
         for form in (forms.alpha, forms.beta)
     )
     lam = evaluate(reference_reduced(data), point)
@@ -332,7 +333,7 @@ def test_blocks_equal_the_literal_product(triple, chart, m, t):
     space = AnsatzSpace.build(m, t)
     forms = reference_forms(data)
     alpha, beta = (
-        form.coefficient_map((4, 5))[(0, 0)].embed(5, (0, 1, 2, 3))
+        coefficient_map(form, (4, 5))[(0, 0)].embed(5, (0, 1, 2, 3))
         for form in (forms.alpha, forms.beta)
     )
     lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
@@ -346,10 +347,49 @@ def test_blocks_equal_the_literal_product(triple, chart, m, t):
                 alpha ** (m - 3 * w - k) * beta**k * lam**w
                 * a ** (w + k) * b ** (m - 2 * w - k) * uv ** (2 * w)
             )
-            expected[(w, k)] = product.coefficient_map((2, 3, 4))
+            expected[(w, k)] = coefficient_map(product, (2, 3, 4))
     blocks = expand_ansatz(data, space).blocks
     assert blocks == reduce_blocks(expected, m)
     _assert_weighted_homogeneous(blocks, m)
+
+
+def test_zero_factors_expand_like_the_reference():
+    """Conics 1 and 3 of this triple agree mod 3 (the CLI rejects the
+    prime), so on chart 0 ``alpha``, hence ``X = alpha*b``, and ``L~_red``
+    are 0: the packed expansion must still size its fields and give the
+    reference's blocks, with the ``X``-divisible blocks empty."""
+    triple = ConicTriple(*(
+        Conic(row)
+        for row in ((2, -1, 1, 0, 0, 0), (1, 2, 1, 0, 0, 0), (1, 1, 2, 0, 0, 0))
+    ))
+    data = chart_data(triple, 0, modulus=3)
+    assert log_jet_forms(data).alpha.is_zero and wronskian_form(data).reduced.is_zero
+    space = AnsatzSpace.build(2, 5)
+    blocks = expand_ansatz(data, space).blocks
+    assert blocks == reduce_blocks(reference_blocks(data, space), 2)
+    assert blocks[(0, 0)] == blocks[(0, 1)] == {} != blocks[(0, 2)]
+
+
+def test_multipoly_products_do_not_grow_with_the_weight(monkeypatch):
+    """Only the frame and the three factors ``X``, ``Y`` and ``C_1`` are
+    ``MultiPoly`` products; their powers and the blocks multiply packed
+    maps, so an expansion makes as many ``MultiPoly.__mul__`` calls at
+    ``(6, 5)`` as at ``(3, 3)``."""
+    data = chart_data(FERMAT, 0, modulus=5)
+    calls = []
+    product = MultiPoly.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return product(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    counts = []
+    for m, t in ((3, 3), (5, 4), (6, 5)):
+        calls.clear()
+        expand_ansatz(data, AnsatzSpace.build(m, t))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2], counts
 
 
 def test_obstruction_rows_frozen_shape():

@@ -9,6 +9,7 @@ import pytest
 
 from _util import (
     NonDivisible,
+    coefficient_map,
     exact_div,
     random_nonzero_poly,
     random_poly,
@@ -179,7 +180,7 @@ def test_coefficient_map_partition_is_faithful():
     rng = random.Random(8)
     for _ in range(25):
         f = random_poly(rng, 4, max_degree=3, n_terms=8, modulus=5)
-        grouped = f.coefficient_map((2, 3))
+        grouped = coefficient_map(f, (2, 3))
         # Rebuild f from the grouping and compare.
         rebuilt = MultiPoly.zero(4, 5)
         for pattern, poly in grouped.items():
