@@ -264,6 +264,12 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 2
     )
 
+    # An export hashes the bytes it writes, so the system is serialized once.
+    if cfg.export_matrix:
+        checksum = write_sms(system, cfg.export_matrix)
+    else:
+        checksum = sms_checksum(system)
+
     if system.n_vars == 0:
         verdict = "vacuous"
     elif outcome.nullity == 0:
@@ -293,12 +299,10 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
             "nullity": outcome.nullity,
             "verdict": verdict,
         },
-        checksum=sms_checksum(system),
+        checksum=checksum,
         timings=timings,
         work={"rows_admitted": outcome.rows_admitted},
     )
-    if cfg.export_matrix:
-        write_sms(system, cfg.export_matrix)
     if cfg.report:
         try:
             with open(cfg.report, "w", encoding="utf-8") as handle:
@@ -319,12 +323,12 @@ def run_export(args: argparse.Namespace) -> tuple[dict, int]:
     if not cfg.output:
         raise ConfigError("export-matrix requires --output")
     _, system = _assemble_checked(cfg, 1)
-    write_sms(system, cfg.output)
+    checksum = write_sms(system, cfg.output)
     return {
         "output": cfg.output,
         "n_vars": system.n_vars,
         "n_rows": system.n_rows,
-        "checksum": sms_checksum(system),
+        "checksum": checksum,
     }, 0
 
 

@@ -8,7 +8,10 @@ order.  A row is its entry tuple (:data:`jetcert.jets.Row`) throughout.
 
 The export format is the plain-text sparse matrix market dialect used by
 exact linear-algebra toolkits: a header ``"<nrows> <ncols> M"``, one 1-based
-``"row col value"`` triple per nonzero, and a ``"0 0 0"`` terminator.
+``"row col value"`` triple per nonzero, and a ``"0 0 0"`` terminator.  Both
+directions stream: :func:`write_sms` hashes the chunks it writes, and
+:func:`read_sms` parses one line at a time into rows that share one
+``(column, coefficient)`` tuple per distinct pair, as assembled rows do.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .conics import ConicTriple, chart_data
 from .jets import AnsatzSpace, Row, expand_ansatz, obstruction_rows
@@ -133,35 +136,59 @@ def sms_checksum(system: LinearSystem) -> str:
     return digest.hexdigest()
 
 
-def import_sms(text: str, prime: int) -> LinearSystem:
-    """Parse SMS text back into a system (content only).
+def write_sms(system: LinearSystem, path: str) -> str:
+    """Write the SMS serialization to ``path`` chunk by chunk and return the
+    SHA-256 of the bytes written, equal to :func:`sms_checksum`, so an
+    export needs no second pass over the system."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "wb") as handle:
+            for chunk in _sms_chunks(system):
+                data = chunk.encode("ascii")
+                digest.update(data)
+                handle.write(data)
+    except OSError as exc:
+        raise IoFailure(f"cannot write SMS file {path!r}: {exc}") from exc
+    return digest.hexdigest()
 
-    Every header and triple token must be ASCII decimal digits without a
-    leading zero, so signs, underscores, non-ASCII digits and padded
-    numbers are rejected instead of read as numbers that would not
-    re-export to the same bytes."""
-    lines = text.splitlines()
-    if not lines:
+
+def _lines(handle: TextIO) -> Iterator[str]:
+    r"""The lines of ``handle`` one at a time, split as ``str.splitlines``
+    splits the whole text: the file object ends a line at ``\n``, ``\r``
+    or ``\r\n``, and ``splitlines`` also at ``\v``, ``\f`` and
+    ``\x1c``-``\x1e`` inside it."""
+    for physical in handle:
+        yield from physical.splitlines()
+
+
+def _parse_sms(handle: TextIO, prime: int) -> LinearSystem:
+    """The system in the open SMS file ``handle``; see :func:`read_sms`."""
+    lines = _lines(handle)
+    first = next(lines, None)
+    if first is None:
         raise IoFailure("empty SMS input")
-    header = lines[0].split()
+    header = first.split()
     if not (
-        lines[0].isascii()
-        and len(header) == 3
+        len(header) == 3
         and header[2] == "M"
         and all(t.isdigit() and (t == "0" or t[0] != "0") for t in header[:2])
     ):
-        raise IoFailure(f"malformed SMS header: {lines[0]!r}")
+        raise IoFailure(f"malformed SMS header: {first!r}")
     n_rows, n_cols = int(header[0]), int(header[1])
+    # One shared (column, coefficient) tuple per distinct pair, keyed
+    # ``column * prime + coefficient``; each row lists its entries as read.
+    pairs: dict[int, tuple[int, int]] = {}
     entries: dict[int, list[tuple[int, int]]] = {}
+    row_token, row = "", []  # the last row token read, and its entries
     terminated = False
-    for line in lines[1:]:
+    for line in lines:
         parts = line.split()
         if not parts:
             continue
         if len(parts) != 3:
             raise IoFailure(f"malformed SMS triple: {line!r}")
         rt, ct, vt = parts
-        if not (line.isascii() and rt.isdigit() and ct.isdigit() and vt.isdigit()):
+        if not (rt.isdigit() and ct.isdigit() and vt.isdigit()):
             raise IoFailure(f"malformed SMS triple: {line!r}")
         if "0" in (rt[0], ct[0], vt[0]):
             # Only the terminator holds a zero, and no number a leading one.
@@ -169,39 +196,54 @@ def import_sms(text: str, prime: int) -> LinearSystem:
                 raise IoFailure(f"malformed SMS triple: {line!r}")
             terminated = True
             break
-        r = int(rt)
-        c = int(ct)
-        value = int(vt)
-        if r > n_rows or c > n_cols:
+        if rt != row_token:
+            # A row's triples usually arrive together: look it up once.
+            r = int(rt)
+            if r > n_rows:
+                raise IoFailure(f"SMS entry out of range: {line!r}")
+            row = entries.get(r)
+            if row is None:
+                row = entries[r] = []
+            row_token = rt
+        c = int(ct) - 1
+        if c >= n_cols:
             raise IoFailure(f"SMS entry out of range: {line!r}")
+        value = int(vt)
         if value >= prime:
             raise IoFailure(f"SMS value not a canonical nonzero residue: {line!r}")
-        entries.setdefault(r, []).append((c - 1, value))
+        key = c * prime + value
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = (c, value)
+        row.append(pair)
     if not terminated:
         raise IoFailure("missing SMS terminator line")
+    # Nothing after the terminator is parsed, but all of it is decoded, so
+    # a non-ASCII byte anywhere in the file still fails.
+    while handle.read(1 << 16):
+        pass
     rows: list[Row] = []
     for r in range(1, n_rows + 1):
-        row = sorted(entries.get(r, []))
+        row = entries.pop(r, [])
+        row.sort()
         if len({c for c, _ in row}) != len(row):
             raise IoFailure(f"duplicate column in SMS row {r}")
         rows.append(tuple(row))
     return LinearSystem(prime=prime, n_vars=n_cols, rows=tuple(rows))
 
 
-def write_sms(system: LinearSystem, path: str) -> None:
-    try:
-        with open(path, "w", encoding="ascii") as handle:
-            handle.writelines(_sms_chunks(system))
-    except OSError as exc:
-        raise IoFailure(f"cannot write SMS file {path!r}: {exc}") from exc
-
-
 def read_sms(path: str, prime: int) -> LinearSystem:
+    """Parse an SMS file back into a system (content only).
+
+    The file is decoded as ASCII and read one line at a time, so neither
+    its text nor a list of its lines is ever held.  Every header and
+    triple token must be decimal digits without a leading zero, so signs,
+    underscores and padded numbers are rejected instead of read as numbers
+    that would not re-export to the same bytes."""
     try:
         with open(path, "r", encoding="ascii") as handle:
-            text = handle.read()
+            return _parse_sms(handle, prime)
     except OSError as exc:
         raise IoFailure(f"cannot read SMS file {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise IoFailure(f"SMS file {path!r} is not ASCII text: {exc}") from exc
-    return import_sms(text, prime)

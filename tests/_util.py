@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 from jetcert.conics import ChartData
 from jetcert.jets import AnsatzSpace, JetExpansion, chart_monomial_shift
-from jetcert.linsys import LinearSystem, write_sms
+from jetcert.linsys import IoFailure, LinearSystem, read_sms, write_sms
 from jetcert.polynomials import MultiPoly
 
 
@@ -74,6 +74,65 @@ def sms_text(system: LinearSystem, directory: Path) -> str:
     path = directory / "system.sms"
     write_sms(system, str(path))
     return path.read_bytes().decode("ascii")
+
+
+def sms_system(data: str | bytes, directory: Path, prime: int) -> LinearSystem:
+    """The system ``read_sms`` parses from ``data``, written byte for byte
+    (text as UTF-8) into ``directory``: the mirror of :func:`sms_text`."""
+    path = directory / "input.sms"
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    return read_sms(str(path), prime)
+
+
+def reference_import_sms(text: str, prime: int) -> LinearSystem:
+    """The whole-text SMS parser that ``read_sms`` replaced, kept as the
+    oracle for its accept/reject behaviour and messages."""
+    lines = text.splitlines()
+    if not lines:
+        raise IoFailure("empty SMS input")
+    header = lines[0].split()
+    if not (
+        lines[0].isascii()
+        and len(header) == 3
+        and header[2] == "M"
+        and all(t.isdigit() and (t == "0" or t[0] != "0") for t in header[:2])
+    ):
+        raise IoFailure(f"malformed SMS header: {lines[0]!r}")
+    n_rows, n_cols = int(header[0]), int(header[1])
+    entries: dict[int, list[tuple[int, int]]] = {}
+    terminated = False
+    for line in lines[1:]:
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 3:
+            raise IoFailure(f"malformed SMS triple: {line!r}")
+        rt, ct, vt = parts
+        if not (line.isascii() and rt.isdigit() and ct.isdigit() and vt.isdigit()):
+            raise IoFailure(f"malformed SMS triple: {line!r}")
+        if "0" in (rt[0], ct[0], vt[0]):
+            # Only the terminator holds a zero, and no number a leading one.
+            if parts != ["0", "0", "0"]:
+                raise IoFailure(f"malformed SMS triple: {line!r}")
+            terminated = True
+            break
+        r = int(rt)
+        c = int(ct)
+        value = int(vt)
+        if r > n_rows or c > n_cols:
+            raise IoFailure(f"SMS entry out of range: {line!r}")
+        if value >= prime:
+            raise IoFailure(f"SMS value not a canonical nonzero residue: {line!r}")
+        entries.setdefault(r, []).append((c - 1, value))
+    if not terminated:
+        raise IoFailure("missing SMS terminator line")
+    rows = []
+    for r in range(1, n_rows + 1):
+        row = sorted(entries.get(r, []))
+        if len({c for c, _ in row}) != len(row):
+            raise IoFailure(f"duplicate column in SMS row {r}")
+        rows.append(tuple(row))
+    return LinearSystem(prime=prime, n_vars=n_cols, rows=tuple(rows))
 
 
 def tower_reduce_u2_first(element: MultiPoly) -> MultiPoly:

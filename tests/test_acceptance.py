@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +30,8 @@ from jetcert.gflinalg import (
     verify_solution,
 )
 from jetcert.jets import AnsatzSpace, case_m3_dim_counts, expand_ansatz, twist_lowering_embedding, wronskian_solution_vector
-from jetcert.linsys import assemble, import_sms, sms_checksum
+from jetcert import linsys
+from jetcert.linsys import assemble, sms_checksum, write_sms
 from jetcert.polynomials import MultiPoly
 from jetcert.thresholds import (
     H,
@@ -44,7 +49,7 @@ from jetcert.thresholds import (
     z_cube_intersection,
 )
 
-from _util import random_poly, reduce_blocks, reduce_mod, reference_blocks, sms_text
+from _util import random_poly, reduce_blocks, reduce_mod, reference_blocks, sms_system, sms_text
 
 FERMAT = PRESET_TRIPLES["fermat"]
 PRIME = 5
@@ -154,6 +159,35 @@ def test_extended_certification(m, t):
     outcome = rank_nullity(system)
     assert outcome.nullity == 0
     assert outcome.rank == system.n_vars
+
+
+@pytest.mark.extended
+def test_sms_read_back_memory(tmp_path):
+    """A fresh process reads the (8,6) export back with its peak RSS grown
+    by under 30 MB; the whole-text parser grew it by 94 MB.  ``ru_maxrss``
+    is in kilobytes on Linux."""
+    system = assemble(FERMAT, 8, 6, PRIME)
+    path = tmp_path / "system.sms"
+    assert write_sms(system, str(path)) == SYSTEM_SHA256[(8, 6)]
+    code = (
+        "import resource, sys\n"
+        "from jetcert.linsys import read_sms\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "system = read_sms(sys.argv[1], int(sys.argv[2]))\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(after - before, system.n_rows, sum(len(row) for row in system.rows))\n"
+    )
+    src = str(Path(linsys.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(path), str(PRIME)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    growth_kb, n_rows, nonzeros = map(int, proc.stdout.split())
+    assert (n_rows, nonzeros) == (system.n_rows, sum(len(row) for row in system.rows))
+    assert growth_kb < 30 * 1024, f"read-back grew the peak RSS by {growth_kb} kB"
 
 
 @pytest.mark.stretch
@@ -355,6 +389,6 @@ def test_twist_lowering_embeds_solution_spaces():
 def test_sms_round_trip_is_byte_exact(tmp_path):
     system = assemble(FERMAT, 4, 3, PRIME)
     text = sms_text(system, tmp_path)
-    again = import_sms(text, PRIME)
+    again = sms_system(text, tmp_path, PRIME)
     assert sms_text(again, tmp_path) == text
     assert again == system

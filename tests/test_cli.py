@@ -251,6 +251,14 @@ def test_report_checksum_matches_sms_export(capsys, tmp_path):
     assert payload["checksum"] == digest
     system = assemble(PRESET_TRIPLES["fermat"], 3, 3, 5)
     assert payload["checksum"] == sms_checksum(system)
+    # export-matrix writes the same bytes and reports the same checksum.
+    exported = tmp_path / "exported.sms"
+    code, out = run_json(
+        capsys, "export-matrix", "--m", "3", "--t", "3", "--output", str(exported)
+    )
+    assert code == 0
+    assert exported.read_bytes() == matrix.read_bytes()
+    assert out["checksum"] == digest
 
 
 def test_report_structure(capsys, tmp_path):
