@@ -16,8 +16,9 @@ merge their flags with ``--config`` into a :class:`RunConfig`; the calculators
 ``thresholds``, ``enumerate`` and ``tower`` read argv alone.
 
 Bad input, including a singular or repeated conic, two tangent conics, three
-conics through one point, or a prime modulo which a conic is singular or two
-conics are equal up to scale, exits 2 with a one-line reason.  Any other
+conics through one point, a prime modulo which a conic is singular or two
+conics are equal up to scale, or a triple whose Jacobian cubic is not the
+coordinate triangle, exits 2 with a one-line reason.  Any other
 exception is reported on one stderr line as ``error: internal: <Type>:
 <message>`` with exit code 4, so that a crash is never mistaken for a verdict.
 
@@ -49,7 +50,6 @@ from .conics import (
 )
 from .gflinalg import PRIME_BOUND, is_prime, rank_nullity
 from .linsys import IoFailure, LinearSystem, assemble, sms_checksum, write_sms
-from .polynomials import MultiPoly
 from .thresholds import (
     ConstantTooSmall,
     DegenerateTotalDegree,
@@ -186,9 +186,8 @@ def load_conics(source: str) -> ConicTriple:
     return ConicTriple(*conics)
 
 
-def check_configuration(triple: ConicTriple, prime: int) -> MultiPoly:
-    """Reject a triple the certifier cannot read soundly, and return its
-    Jacobian cubic.
+def check_configuration(triple: ConicTriple, prime: int) -> None:
+    """Reject a triple the certifier cannot read soundly.
 
     Rejected, in this order: a singular conic; two conics equal up to scale;
     two tangent conics or a point on all three, either of which breaks the
@@ -196,7 +195,12 @@ def check_configuration(triple: ConicTriple, prime: int) -> MultiPoly:
     triple; a prime modulo which some conic is singular (the chart reduction
     degenerates there; always so at p = 2); a prime modulo which two conics
     are equal up to scale, every 2x2 minor of their rows 0 mod p (then
-    ``alpha``, ``beta`` or ``X - Y`` is 0, so ansatz columns vanish or repeat)."""
+    ``alpha``, ``beta`` or ``X - Y`` is 0, so ansatz columns vanish or
+    repeat); a Jacobian cubic other than a constant times ``Z0*Z1*Z2``.  The
+    obstruction rows demand divisibility by ``u^m * v^m``, the chart's
+    ``(Z0*Z1*Z2)^m``; for any other cubic the sections have poles along it
+    instead, so those rows describe only a subspace of them and nullity 0
+    would certify nothing."""
     conics = triple.conics()
     for pos, conic in enumerate(conics, start=1):
         if not conic.is_smooth():
@@ -225,15 +229,16 @@ def check_configuration(triple: ConicTriple, prime: int) -> MultiPoly:
                 f"conics {i + 1} and {j + 1} are equal up to scale mod {prime}; "
                 "choose another prime"
             )
-    return jacobian
+    if not is_coordinate_triangle(jacobian):
+        raise ConfigError(
+            "the Jacobian cubic is not a constant times Z0*Z1*Z2; the "
+            "obstruction rows are only sound for such triples"
+        )
 
 
-def _assemble_checked(
-    cfg: RunConfig, min_charts: int
-) -> tuple[MultiPoly, LinearSystem]:
+def _assemble_checked(cfg: RunConfig, min_charts: int) -> LinearSystem:
     """Validate the input shared by ``verify`` and ``export-matrix``, load
-    and check the conics, and assemble the system on ``cfg.charts``.
-    Returns the triple's Jacobian cubic and the system."""
+    and check the conics, and assemble the system on ``cfg.charts``."""
     if cfg.m is None or cfg.t is None:
         raise ConfigError(f"{cfg.command} requires --m and --t")
     if cfg.m < 1 or cfg.t < 0:
@@ -246,15 +251,15 @@ def _assemble_checked(
         need = "one chart" if min_charts == 1 else "two charts to cover the surface"
         raise ConfigError(f"{cfg.command} needs at least {need}")
     triple = load_conics(cfg.conics)
-    jacobian = check_configuration(triple, cfg.prime)
-    return jacobian, assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
+    check_configuration(triple, cfg.prime)
+    return assemble(triple, cfg.m, cfg.t, cfg.prime, cfg.charts)
 
 
 def run_verify(cfg: RunConfig) -> VanishingVerdict:
     """Assemble, eliminate, and classify; see the exit-code contract above."""
     timings: dict[str, float] = {}
     start = time.perf_counter()
-    jacobian, system = _assemble_checked(cfg, 2)
+    system = _assemble_checked(cfg, 2)
     timings["assemble_s"] = round(time.perf_counter() - start, 6)
 
     start = time.perf_counter()
@@ -284,10 +289,11 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
             "t": cfg.t,
             "prime": cfg.prime,
             "charts": list(cfg.charts),
-            # Always false: the certifier has one serial path, and
-            # perfbench/reference.json still pins this key.
+            # Constants: the certifier has one serial path and refuses any
+            # other Jacobian cubic, and perfbench/reference.json still pins
+            # both keys.
             "parallel": False,
-            "jacobian_monomial": is_coordinate_triangle(jacobian),
+            "jacobian_monomial": True,
         },
         counts={
             "n_vars": system.n_vars,
@@ -322,7 +328,7 @@ def run_export(args: argparse.Namespace) -> tuple[dict, int]:
     cfg = _merge_config(args)
     if not cfg.output:
         raise ConfigError("export-matrix requires --output")
-    _, system = _assemble_checked(cfg, 1)
+    system = _assemble_checked(cfg, 1)
     checksum = write_sms(system, cfg.output)
     return {
         "output": cfg.output,

@@ -1,5 +1,5 @@
-"""Plane conic configurations over the integers: chart data, the Jacobian
-cubic, and the exact simple-normal-crossings test.
+"""Plane conic configurations over the integers: chart restriction, the
+Jacobian cubic, and the exact simple-normal-crossings test.
 
 Conventions
 -----------
@@ -10,12 +10,9 @@ Conventions
 * Affine charts are indexed by the coordinate set to 1.  Chart ``i`` uses the
   two remaining coordinates, in index order, as its variables:
   chart 0 -> ``(x, y) = (Z1, Z2)``, chart 1 -> ``(t, y) = (Z0, Z2)``,
-  chart 2 -> ``(t, x) = (Z0, Z1)``.
-* ``D`` on a chart is ``det [[a, b, c], [a_u, b_u, c_u], [a_v, b_v, c_v]]``
-  (first row the three dehomogenized conics, then their first partials).
-  Degree-2 Euler relations give the chart identity
-  ``Z_i * J = sign_i * 2 * (homogenized D)`` with signs ``(+, -, +)`` for
-  charts ``(0, 1, 2)``; it is asserted in the tests.
+  chart 2 -> ``(t, x) = (Z0, Z1)``.  :func:`chart_data` only
+  dehomogenizes; the chart determinant ``D`` and its identity with the
+  Jacobian cubic belong to the jet frame (:mod:`jetcert.jets`).
 
 Simple normal crossings of a triple of smooth conics is decided by two exact
 integer closed forms:
@@ -158,19 +155,15 @@ class ChartData:
     """Dehomogenized data of a conic triple on one affine chart.
 
     Fields ``a, b, c`` are the three conics restricted to the chart (arity-2
-    polynomials in the chart variables ``(u, v)``) and ``det`` is the 3x3
-    determinant ``D`` described in the module docstring.  The jet frame reads
-    ``det`` directly: the reduced Wronskian numerator carries
-    ``W = u1*v2 - v1*u2`` with the coefficient ``a*b*c^2 * D``
-    (:func:`jetcert.jets.wronskian_form`).  Partial derivatives are taken by
-    the callers that need them, with :meth:`MultiPoly.deriv`.
+    polynomials in the chart variables ``(u, v)``).  Their partial
+    derivatives, and the chart determinant built from them, are taken by
+    :func:`jetcert.jets.block_factors`.
     """
 
     chart: int
     a: MultiPoly
     b: MultiPoly
     c: MultiPoly
-    det: MultiPoly
 
 
 def _det_int(m: Sequence[Sequence[int]]) -> int:
@@ -230,25 +223,11 @@ def is_coordinate_triangle(cubic: MultiPoly) -> bool:
 def chart_data(
     triple: ConicTriple, chart: int, modulus: int | None = None
 ) -> ChartData:
-    """Restrict a triple to one affine chart and compute its determinant."""
+    """Restrict a triple to one affine chart."""
     if chart not in CHART_AXES:
         raise ValueError(f"chart must be one of 0, 1, 2; got {chart!r}")
-    polys = triple.polynomials(modulus)
-    dehom = [p.dehomogenize(chart) for p in polys]
-    det = _det_poly_matrix(
-        [
-            dehom,
-            [p.deriv(0) for p in dehom],
-            [p.deriv(1) for p in dehom],
-        ]
-    )
-    return ChartData(
-        chart=chart,
-        a=dehom[0],
-        b=dehom[1],
-        c=dehom[2],
-        det=det,
-    )
+    a, b, c = (p.dehomogenize(chart) for p in triple.polynomials(modulus))
+    return ChartData(chart=chart, a=a, b=b, c=c)
 
 
 # -- simple normal crossings -----------------------------------------------------

@@ -80,8 +80,6 @@ class EliminationResult:
     the nullity is above 0, every other row was skipped because it provably
     lies in the span of the pivot rows (see the module docstring)."""
 
-    prime: int
-    n_vars: int
     rank: int
     nullity: int
     pivots: tuple[tuple[int, int], ...]
@@ -216,8 +214,6 @@ def _result(system: LinearSystem, pivot_log: PivotLog, reduced: int,
             basis: tuple[dict[int, int], ...] | None = None) -> EliminationResult:
     rank = len(pivot_log)
     return EliminationResult(
-        prime=system.prime,
-        n_vars=system.n_vars,
         rank=rank,
         nullity=system.n_vars - rank,
         pivots=tuple((col, rid) for col, rid, _ in pivot_log),

@@ -3,29 +3,36 @@
 Pipeline on one affine chart with coordinates ``(u, v)`` and dehomogenized
 conics ``a, b, c``:
 
-1.  First- and second-order log-derivative numerators (:func:`log_jet_forms`):
-    with ``a' = a_u*u1 + a_v*v1`` and ``a'' = a° + a_uu*u1^2 +
+1.  First- and second-order log-derivative numerators: with
+    ``a' = a_u*u1 + a_v*v1`` and ``a'' = a° + a_uu*u1^2 +
     2*a_uv*u1*v1 + a_vv*v1^2``, where ``a° = a_u*u2 + a_v*v2``,
 
     * ``alpha  = a'*c - c'*a``                 (denominator ``a*c``),
     * ``gamma_a = (a''*a - a'^2)*c^2 - (c''*c - c'^2)*a^2``  (denominator ``a^2*c^2``),
 
     and ``beta``/``gamma_b`` with ``b`` in place of ``a``.  Only ``alpha``,
-    ``beta`` and the 2-jet numerators at ``u2 = v2 = 0`` are built.
-2.  The 2-jet Wronskian numerator (:func:`wronskian_form`)
+    ``beta`` and the 2-jet numerators at ``u2 = v2 = 0`` are built, inside
+    :func:`block_factors`, which takes every partial of ``a, b, c`` once;
+    none of them leaves that function.
+2.  The 2-jet Wronskian numerator
     ``L~ = alpha*gamma_b*a - gamma_a*beta*b`` over ``a^2*b^2*c^3``.  The
     ``(u2, v2)``-part of ``gamma_a`` is ``a*c*(a°*c - c°*a)``, so that of
     ``L~`` is
     ``a*b*c*[alpha*(b°*c - c°*b) - beta*(a°*c - c°*a)]
     = a*b*c^2 * det[[a, b, c], [a', b', c'], [a°, b°, c°]] = a*b*c^2 * D * W``,
-    where ``D`` is the chart determinant and ``W = u1*v2 - v1*u2``: the
+    where ``W = u1*v2 - v1*u2`` and ``D`` is the chart determinant
+    ``det [[a, b, c], [a_u, b_u, c_u], [a_v, b_v, c_v]]``: the
     determinant is bilinear in its last two rows, which are
     ``u1*grad_u + v1*grad_v`` and ``u2*grad_u + v2*grad_v``.  So ``L~``
     sees the second-order jet only through ``W``, for any three conics, and
     its reduced form on ``(u, v, u1, v1, W)`` is the closed form
     ``L~_red = L~|(u2=v2=0) + a*b*c^2 * D * W``.  No frame polynomial
     carries ``u2`` or ``v2``; the tests derive ``L~`` in six variables and
-    eliminate them through ``W`` on their own, as the reference.
+    eliminate them through ``W`` on their own, as the reference.  Degree-2
+    Euler relations give the chart identity
+    ``Z_i * J = sign_i * 2 * (homogenized D)`` with ``J`` the Jacobian cubic
+    (:func:`jetcert.conics.jacobian_cubic`) and signs ``(+, -, +)`` for
+    charts ``(0, 1, 2)``; it is asserted in the tests.
 3.  Ansatz bookkeeping (:class:`AnsatzSpace`): one unknown per
     ``(stratum w, split k, degree-d_w monomial)`` with ``d_w = 3*(m-2w) - t``;
     stratum ``w`` contributes iff ``d_w >= 0`` (for ``t > 3m`` no stratum
@@ -39,8 +46,9 @@ conics ``a, b, c``:
     ``B_{w,k} = C_w * X^(n-k) * Y^k`` with
     ``C_w = L~_red^w * (a*b)^w * (u*v)^(2w) = (L~_red * a*b * (u*v)^2)^w``,
     because the ``a`` exponent splits as ``w + k`` and the ``b`` exponent as
-    ``w + (n-k)``.  Every block is therefore a product of three powers built
-    once per chart, and no polynomial division is needed.  Each block is stored
+    ``w + (n-k)``.  Every block is therefore a product of powers of the three
+    factors ``X``, ``Y`` and ``C_1`` that :func:`block_factors` builds once
+    per chart, and no polynomial division is needed.  Each block is stored
     as its jet-slot decomposition ``{(i, j, k): S(u, v)}`` over the monomials
     ``u1^i v1^j W^k`` (``i + j + 3k = m`` always, by construction: ``X``
     and ``Y`` have jet weight 1 and ``C_1`` weight 3, ``W`` counting 3),
@@ -93,37 +101,26 @@ _U1, _V1, _W = 2, 3, 4
 # -- frame construction ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogJetForms:
-    """Numerators of the chart's log-derivative 1- and 2-jets, as polynomials
-    in ``(u, v, u1, v1, W)`` free of ``W``.
-
-    ``alpha`` and ``beta`` are the whole 1-jet numerators.  ``gamma_a`` and
-    ``gamma_b`` are the 2-jet numerators at ``u2 = v2 = 0``; their
-    ``(u2, v2)``-parts enter the Wronskian only through ``W`` (module
-    docstring, step 2).  The denominators ``a*c``, ``b*c``, ``a^2*c^2`` and
-    ``b^2*c^2`` are never expanded."""
-
-    alpha: MultiPoly
-    beta: MultiPoly
-    gamma_a: MultiPoly
-    gamma_b: MultiPoly
-
-
 def _lift(poly: MultiPoly) -> MultiPoly:
     """A chart polynomial in ``(u, v)`` as a polynomial of the frame stage."""
     return poly.embed(5, (0, 1))
 
 
-def log_jet_forms(data: ChartData) -> LogJetForms:
-    """First- and second-order numerators of ``d log(a/c)`` and ``d log(b/c)``,
-    the latter at ``u2 = v2 = 0``."""
+def block_factors(data: ChartData) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """The chart's three block factors ``X = alpha*b``, ``Y = beta*a`` and
+    ``C_1 = L~_red * a*b * (u*v)^2`` on ``(u, v, u1, v1, W)``.
+
+    This is the one place that differentiates the chart's conics: each
+    partial is taken once, and ``alpha``, ``beta``, the 2-jet numerators at
+    ``u2 = v2 = 0`` and the chart determinant ``D`` are built from them
+    (module docstring, steps 1 and 2)."""
     modulus = data.a.modulus
     u1 = MultiPoly.variable(5, _U1, modulus)
     v1 = MultiPoly.variable(5, _V1, modulus)
-    frame = []
+    frame, grads = [], []
     for f in (data.a, data.b, data.c):
         f_u, f_v = f.deriv(0), f.deriv(1)
+        grads.append((f_u, f_v))
         first = _lift(f_u) * u1 + _lift(f_v) * v1
         # f'' without its part f_u*u2 + f_v*v2.
         second = (
@@ -133,39 +130,24 @@ def log_jet_forms(data: ChartData) -> LogJetForms:
         )
         frame.append((_lift(f), first, second))
     (a, a1, a2), (b, b1, b2), (c, c1, c2) = frame
+    (a_u, a_v), (b_u, b_v), (c_u, c_v) = grads
+    det = (
+        data.a * (b_u * c_v - c_u * b_v)
+        - data.b * (a_u * c_v - c_u * a_v)
+        + data.c * (a_u * b_v - b_u * a_v)
+    )
     alpha = a1 * c - c1 * a
     beta = b1 * c - c1 * b
     gamma_a = (a2 * a - a1 * a1) * c * c - (c2 * c - c1 * c1) * a * a
     gamma_b = (b2 * b - b1 * b1) * c * c - (c2 * c - c1 * c1) * b * b
-    return LogJetForms(alpha=alpha, beta=beta, gamma_a=gamma_a, gamma_b=gamma_b)
-
-
-@dataclass(frozen=True)
-class WronskianForm:
-    """The reduced 2-jet Wronskian numerator over ``a^2*b^2*c^3``.
-
-    ``reduced`` is ``L~_red`` on ``(u, v, u1, v1, W)``, linear in ``W``
-    with the bivariate ``W``-coefficient ``a*b*c^2 * D``; ``forms`` are the
-    log-jet numerators it was built from, kept so that the chart's frame is
-    derived once."""
-
-    reduced: MultiPoly
-    forms: LogJetForms
-
-
-def wronskian_form(data: ChartData) -> WronskianForm:
-    """``L~_red = alpha*gamma_b*a - gamma_a*beta*b + a*b*c^2*D*W``, in closed
-    form from the chart determinant ``D`` (module docstring, step 2)."""
-    forms = log_jet_forms(data)
-    a, b = _lift(data.a), _lift(data.b)
-    w_coefficient = data.a * data.b * data.c * data.c * data.det
-    w_var = MultiPoly.variable(5, _W, data.a.modulus)
+    w_coefficient = data.a * data.b * data.c * data.c * det
     reduced = (
-        forms.alpha * forms.gamma_b * a
-        - forms.gamma_a * forms.beta * b
-        + _lift(w_coefficient) * w_var
+        alpha * gamma_b * a
+        - gamma_a * beta * b
+        + _lift(w_coefficient) * MultiPoly.variable(5, _W, modulus)
     )
-    return WronskianForm(reduced=reduced, forms=forms)
+    uv = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
+    return alpha * b, beta * a, reduced * _lift(data.a * data.b * uv * uv)
 
 
 # -- ansatz bookkeeping -----------------------------------------------------------------
@@ -265,9 +247,8 @@ def expand_ansatz(
 ) -> JetExpansion:
     """Expand every ansatz block on one chart into jet-slot form.
 
-    The reduced Wronskian numerator comes in closed form from
-    :func:`wronskian_form`, which also yields the chart's log-jet forms.
-    Each block is then the exact product
+    The three factors come from :func:`block_factors`, and each block is
+    the exact product
     ``B_{w,k} = C_w * X^(n-k) * Y^k`` (``n = m - 3w``, ``X = alpha*b``,
     ``Y = beta*a``, ``C_w = L~_red^w * (a*b)^w * (u*v)^(2w)``).  The three
     factors are packed once, in fields that hold ``deg(X)*m + deg(Y)*m +
@@ -281,11 +262,8 @@ def expand_ansatz(
     still passes it."""
     m = space.m
     modulus = data.a.modulus
-    uv = MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus)
-    wf = wronskian_form(data)
     max_w = max((w for w, _ in space.strata), default=0)
-    factors = (wf.forms.alpha * _lift(data.b), wf.forms.beta * _lift(data.a),
-               wf.reduced * _lift(data.a * data.b * uv * uv))
+    factors = block_factors(data)
     powers = (m, m, max_w)
     width = sum(max(map(max, f.terms), default=0) * n
                 for f, n in zip(factors, powers)).bit_length()

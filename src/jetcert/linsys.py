@@ -174,48 +174,63 @@ def _parse_sms(handle: TextIO, prime: int) -> LinearSystem:
         and all(t.isdigit() and (t == "0" or t[0] != "0") for t in header[:2])
     ):
         raise IoFailure(f"malformed SMS header: {first!r}")
-    n_rows, n_cols = int(header[0]), int(header[1])
+    try:
+        n_rows, n_cols = int(header[0]), int(header[1])
+    except ValueError:  # past the interpreter's limit on digits for int()
+        raise IoFailure(f"SMS header count too large: {first!r}") from None
     # One shared (column, coefficient) tuple per distinct pair, keyed
     # ``column * prime + coefficient``; each row lists its entries as read.
     pairs: dict[int, tuple[int, int]] = {}
     entries: dict[int, list[tuple[int, int]]] = {}
     row_token, row = "", []  # the last row token read, and its entries
     terminated = False
-    for line in lines:
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            raise IoFailure(f"malformed SMS triple: {line!r}")
-        rt, ct, vt = parts
-        if not (rt.isdigit() and ct.isdigit() and vt.isdigit()):
-            raise IoFailure(f"malformed SMS triple: {line!r}")
-        if "0" in (rt[0], ct[0], vt[0]):
-            # Only the terminator holds a zero, and no number a leading one.
-            if parts != ["0", "0", "0"]:
+    try:
+        for line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
                 raise IoFailure(f"malformed SMS triple: {line!r}")
-            terminated = True
-            break
-        if rt != row_token:
-            # A row's triples usually arrive together: look it up once.
-            r = int(rt)
-            if r > n_rows:
+            rt, ct, vt = parts
+            if not (rt.isdigit() and ct.isdigit() and vt.isdigit()):
+                raise IoFailure(f"malformed SMS triple: {line!r}")
+            if "0" in (rt[0], ct[0], vt[0]):
+                # Only the terminator holds a zero, and no number a leading one.
+                if parts != ["0", "0", "0"]:
+                    raise IoFailure(f"malformed SMS triple: {line!r}")
+                terminated = True
+                break
+            if rt != row_token:
+                # A row's triples usually arrive together: look it up once.
+                r = int(rt)
+                if r > n_rows:
+                    raise IoFailure(f"SMS entry out of range: {line!r}")
+                row = entries.get(r)
+                if row is None:
+                    row = entries[r] = []
+                row_token = rt
+            c = int(ct) - 1
+            if c >= n_cols:
                 raise IoFailure(f"SMS entry out of range: {line!r}")
-            row = entries.get(r)
-            if row is None:
-                row = entries[r] = []
-            row_token = rt
-        c = int(ct) - 1
-        if c >= n_cols:
-            raise IoFailure(f"SMS entry out of range: {line!r}")
-        value = int(vt)
-        if value >= prime:
-            raise IoFailure(f"SMS value not a canonical nonzero residue: {line!r}")
-        key = c * prime + value
-        pair = pairs.get(key)
-        if pair is None:
-            pair = pairs[key] = (c, value)
-        row.append(pair)
+            value = int(vt)
+            if value >= prime:
+                raise IoFailure(f"SMS value not a canonical nonzero residue: {line!r}")
+            key = c * prime + value
+            pair = pairs.get(key)
+            if pair is None:
+                pair = pairs[key] = (c, value)
+            row.append(pair)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        # int() refuses a token past the interpreter's limit on digits
+        # (4,300 by default).  Such a number is past every bound, so the
+        # line fails as it would with no limit.
+        try:
+            int(rt), int(ct)
+        except ValueError:
+            raise IoFailure(f"SMS entry out of range: {line!r}") from None
+        raise IoFailure(f"SMS value not a canonical nonzero residue: {line!r}") from None
     if not terminated:
         raise IoFailure("missing SMS terminator line")
     # Nothing after the terminator is parsed, but all of it is decoded, so
@@ -239,7 +254,8 @@ def read_sms(path: str, prime: int) -> LinearSystem:
     its text nor a list of its lines is ever held.  Every header and
     triple token must be decimal digits without a leading zero, so signs,
     underscores and padded numbers are rejected instead of read as numbers
-    that would not re-export to the same bytes."""
+    that would not re-export to the same bytes.  A token too long for
+    ``int()`` fails as :class:`IoFailure` too."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             return _parse_sms(handle, prime)

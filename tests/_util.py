@@ -254,6 +254,22 @@ def reference_forms(data: ChartData) -> ReferenceForms:
     )
 
 
+def chart_determinant(data: ChartData) -> MultiPoly:
+    """``D = det [[a, b, c], [a_u, b_u, c_u], [a_v, b_v, c_v]]`` on the chart,
+    by the Leibniz formula over the six permutations of the columns."""
+    rows = [
+        (data.a, data.b, data.c),
+        tuple(f.deriv(0) for f in (data.a, data.b, data.c)),
+        tuple(f.deriv(1) for f in (data.a, data.b, data.c)),
+    ]
+    total = MultiPoly.zero(2, data.a.modulus)
+    for perm, sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                       ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)):
+        term = rows[0][perm[0]] * rows[1][perm[1]] * rows[2][perm[2]]
+        total = total + term.scale(sign)
+    return total
+
+
 def reference_tilde(data: ChartData) -> MultiPoly:
     """``L~ = alpha*gamma_b*a - gamma_a*beta*b`` on ``(u, v, u1, v1, u2, v2)``."""
     forms = reference_forms(data)

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from jetcert import cli
-from jetcert.conics import PRESET_TRIPLES, QUADRIC_MONOMIALS, Conic, jacobian_cubic
+from jetcert.conics import PRESET_TRIPLES, QUADRIC_MONOMIALS, Conic
 from jetcert.linsys import assemble, sms_checksum
 
 
@@ -149,6 +149,9 @@ SCALED_MOD_3 = [[2, -1, 1, 0, 0, 0], [1, 2, 1, 0, 0, 0], [1, 1, 2, 0, 0, 0]]
          "conics 1 and 3 are equal up to scale mod 3; choose another prime"),
         ("export-matrix", SCALED_MOD_3, 3,
          "conics 1 and 3 are equal up to scale mod 3; choose another prime"),
+        ("verify", "case72", 5, "the Jacobian cubic is not a constant times Z0*Z1*Z2"),
+        ("export-matrix", "case72", 5,
+         "the Jacobian cubic is not a constant times Z0*Z1*Z2"),
     ],
 )
 def test_degenerate_input_exits_two(capsys, tmp_path, command, conics, prime, reason):
@@ -186,7 +189,8 @@ def _conic_through(rng, point):
 
 def test_planted_common_point_exits_two(capsys, tmp_path):
     """Seeded triples planted through a rational point fail the simple
-    normal crossings check; both presets pass it."""
+    normal crossings check; both presets pass it, and ``case72`` is then
+    refused for its Jacobian cubic, the last check."""
     rng = random.Random(20261019)
     checked = 0
     for case in range(24):
@@ -207,8 +211,9 @@ def test_planted_common_point_exits_two(capsys, tmp_path):
         assert "share a point" in err or "are tangent" in err, (point, triple, err)
         checked += 1
     assert checked >= 20
-    for name, triple in PRESET_TRIPLES.items():
-        assert cli.check_configuration(triple, 5) == jacobian_cubic(triple), name
+    assert cli.check_configuration(PRESET_TRIPLES["fermat"], 5) is None
+    with pytest.raises(cli.ConfigError, match="Jacobian cubic"):
+        cli.check_configuration(PRESET_TRIPLES["case72"], 5)
 
 
 def test_internal_error_exits_four(capsys, monkeypatch):

@@ -5,9 +5,9 @@ curve z -> (u(z), v(z)) into the chart functions and differentiate the
 composites directly in z.  The six-variable reference of ``_util`` (the
 whole log-jet forms, built by chain rule over formal jet variables, and the
 Wronskian numerator ``L~``) must agree with quotient-rule numerators computed
-from those composites, and so must the certifier's closed-form reduced
-numerator, evaluated at ``W = u1*v2 - v1*u2`` along the curve.  The
-reference then checks the closed form on random triples and the expansion
+from those composites, and so must the certifier's block factors ``X``,
+``Y`` and ``C_1``, evaluated at ``W = u1*v2 - v1*u2`` along the curve.  The
+reference then checks the factors on random triples and the expansion
 blocks by eliminating ``(u2, v2)`` on its own.
 """
 
@@ -23,18 +23,18 @@ from jetcert.conics import CHART_AXES, PRESET_TRIPLES, Conic, ConicTriple, chart
 from jetcert.jets import (
     AnsatzIndex,
     AnsatzSpace,
+    block_factors,
     case_m3_dim_counts,
     chart_monomial_shift,
     expand_ansatz,
-    log_jet_forms,
     obstruction_rows,
     twist_lowering_embedding,
-    wronskian_form,
     wronskian_solution_vector,
 )
 from jetcert.polynomials import MultiPoly
 
 from _util import (
+    chart_determinant,
     coefficient_map,
     evaluate,
     reduce_blocks,
@@ -56,6 +56,7 @@ class _Curve(NamedTuple):
     jets5: list  # (u, v, u1, v1, W)
     a: MultiPoly
     b: MultiPoly
+    ab_uv2: MultiPoly  # a*b*(u*v)^2, the factor of C_1 beside L~_red
     f_num: MultiPoly
     g_num: MultiPoly
     f_prime: MultiPoly
@@ -84,6 +85,7 @@ def _along_curve(data) -> _Curve:
         jets5=[u_poly, v_poly, du, dv, du * d2v - dv * d2u],
         a=f_a,
         b=f_b,
+        ab_uv2=f_a * f_b * (u_poly * v_poly) ** 2,
         f_num=f_num,
         g_num=g_num,
         f_prime=f_num.deriv(0) * ac - f_num * ac.deriv(0),
@@ -93,7 +95,8 @@ def _along_curve(data) -> _Curve:
 
 def test_jet_forms_match_composite_differentiation():
     """The reference's chain-rule jet numerators agree with direct d/dz of
-    the composites, and so do the certifier's 1-jet forms."""
+    the composites, and so do the certifier's factors ``X = alpha*b`` and
+    ``Y = beta*a``."""
     for preset in (FERMAT, CASE72):
         for chart in (0, 1, 2):
             data = chart_data(preset, chart)
@@ -103,16 +106,17 @@ def test_jet_forms_match_composite_differentiation():
             assert evaluate(forms.beta, curve.jets6) == curve.g_num
             assert evaluate(forms.gamma_a, curve.jets6) == curve.f_prime
             assert evaluate(forms.gamma_b, curve.jets6) == curve.g_prime
-            closed = log_jet_forms(data)
-            assert evaluate(closed.alpha, curve.jets5) == curve.f_num
-            assert evaluate(closed.beta, curve.jets5) == curve.g_num
+            x, y, _ = block_factors(data)
+            assert evaluate(x, curve.jets5) == curve.f_num * curve.b
+            assert evaluate(y, curve.jets5) == curve.g_num * curve.a
 
 
 def test_wronskian_matches_log_derivative_wronskian():
     """The cleared numerator equals f*g' - f'*g over a^2*b^2*c^3, computed
     from composite derivatives of an explicit curve: for the reference's
-    six-variable ``L~``, and for the closed-form reduced numerator, which
-    sees only W = u1*v2 - v1*u2 of the second-order data."""
+    six-variable ``L~``, and for the closed-form reduced numerator inside
+    ``C_1 = L~_red * a*b*(u*v)^2``, which sees only W = u1*v2 - v1*u2 of
+    the second-order data."""
     for preset in (FERMAT, CASE72):
         for chart in (0, 1, 2):
             data = chart_data(preset, chart)
@@ -122,19 +126,21 @@ def test_wronskian_matches_log_derivative_wronskian():
                 - curve.f_prime * curve.g_num * curve.b
             )
             assert evaluate(reference_tilde(data), curve.jets6) == oracle
-            assert evaluate(wronskian_form(data).reduced, curve.jets5) == oracle
+            _, _, c_1 = block_factors(data)
+            assert evaluate(c_1, curve.jets5) == oracle * curve.ab_uv2
 
 
 def test_w_coefficient_is_abc_squared_times_determinant():
-    """The ``W``-coefficient is ``a*b*c^2 * D`` in the closed form, and the
-    reference finds the same jet-free coefficient by eliminating
-    ``(u2, v2)``."""
+    """The ``W``-coefficient of ``L~_red`` is ``a*b*c^2 * D``, so that of
+    ``C_1`` is ``a*b*c^2 * D * a*b*(u*v)^2``, and the reference finds the
+    same jet-free coefficient of ``L~`` by eliminating ``(u2, v2)``."""
     for preset in (FERMAT, CASE72):
         for chart in (0, 1, 2):
             data = chart_data(preset, chart)
-            expected = data.a * data.b * data.c * data.c * data.det
-            closed = coefficient_map(wronskian_form(data).reduced, (2, 3, 4))
-            assert closed[(0, 0, 1)] == expected
+            expected = data.a * data.b * data.c * data.c * chart_determinant(data)
+            uv = MultiPoly.variable(2, 0) * MultiPoly.variable(2, 1)
+            closed = coefficient_map(block_factors(data)[2], (2, 3, 4))
+            assert closed[(0, 0, 1)] == expected * data.a * data.b * uv * uv
             by_jet = coefficient_map(reference_reduced(data), (2, 3, 4))
             assert {pattern for pattern in by_jet if pattern[2]} == {(0, 0, 1)}
             assert by_jet[(0, 0, 1)] == expected
@@ -150,32 +156,37 @@ def _random_conic(rng: random.Random) -> Conic:
 @pytest.mark.parametrize("modulus", [None, 5, 11], ids=["ZZ", "GF5", "GF11"])
 def test_closed_form_matches_the_reference_on_random_triples(modulus):
     """``L~_red = L~|(u2=v2=0) + a*b*c^2*D*W`` holds for any three conics,
-    smooth or not, on every chart: it equals the reference's elimination of
-    ``(u2, v2)`` through ``W``, and the forms it is built from are the
-    reference's at ``u2 = v2 = 0``."""
+    smooth or not, on every chart: ``C_1`` is the reference's elimination of
+    ``(u2, v2)`` through ``W`` times ``a*b*(u*v)^2``, and ``X`` and ``Y``
+    are the reference's ``alpha*b`` and ``beta*a``."""
     rng = random.Random(20261018)
     for _ in range(6):
         triple = ConicTriple(*(_random_conic(rng) for _ in range(3)))
         for chart in (0, 1, 2):
             data = chart_data(triple, chart, modulus)
-            closed = wronskian_form(data)
-            assert closed.reduced == reference_reduced(data)
+            x, y, c_1 = block_factors(data)
+            lift = lambda p: p.embed(5, (0, 1))  # noqa: E731
+            a, b = lift(data.a), lift(data.b)
+            uv = lift(MultiPoly.variable(2, 0, modulus) * MultiPoly.variable(2, 1, modulus))
+            assert c_1 == reference_reduced(data) * a * b * uv * uv
             forms = reference_forms(data)
-            for name in ("alpha", "beta", "gamma_a", "gamma_b"):
-                at_zero = coefficient_map(getattr(forms, name), (4, 5)).get(
-                    (0, 0), MultiPoly.zero(4, modulus)
-                )
-                assert getattr(closed.forms, name) == at_zero.embed(5, (0, 1, 2, 3))
+            alpha, beta = (
+                coefficient_map(form, (4, 5)).get((0, 0), MultiPoly.zero(4, modulus))
+                .embed(5, (0, 1, 2, 3))
+                for form in (forms.alpha, forms.beta)
+            )
+            assert (x, y) == (alpha * b, beta * a)
 
 
 def test_jet_weight_scaling():
     """Rescaling (u1, v1) by s and (u2, v2) by s^2 scales alpha by s,
-    gamma by s^2 and the Wronskian numerator by s^3; the reduced numerator
-    scales by s^3 when W, of weight 3, is rescaled by s^3."""
+    gamma by s^2 and the Wronskian numerator by s^3; the factors ``X`` and
+    ``Y`` scale by s and ``C_1`` by s^3 when W, of weight 3, is rescaled by
+    s^3."""
     data = chart_data(FERMAT, 0)
     forms = reference_forms(data)
     tilde = reference_tilde(data)
-    reduced = wronskian_form(data).reduced
+    factors = tuple(zip(block_factors(data), (1, 1, 3)))
     rng = random.Random(20240816)
     for _ in range(5):
         point = [Fraction(rng.randint(-9, 9)) for _ in range(6)]
@@ -187,9 +198,10 @@ def test_jet_weight_scaling():
                                  (tilde, 3)):
                 base = evaluate(form, point)
                 assert evaluate(form, scaled) == s**weight * base
-            base = evaluate(reduced, point[:5])
             scaled = point[:2] + [s * point[2], s * point[3], s**3 * point[4]]
-            assert evaluate(reduced, scaled) == s**3 * base
+            for factor, weight in factors:
+                base = evaluate(factor, point[:5])
+                assert evaluate(factor, scaled) == s**weight * base
 
 
 def test_ansatz_space_counts():
@@ -355,15 +367,17 @@ def test_blocks_equal_the_literal_product(triple, chart, m, t):
 
 def test_zero_factors_expand_like_the_reference():
     """Conics 1 and 3 of this triple agree mod 3 (the CLI rejects the
-    prime), so on chart 0 ``alpha``, hence ``X = alpha*b``, and ``L~_red``
-    are 0: the packed expansion must still size its fields and give the
-    reference's blocks, with the ``X``-divisible blocks empty."""
+    prime), so on chart 0 ``alpha``, hence ``X = alpha*b``, and ``L~_red``,
+    hence ``C_1``, are 0: the packed expansion must still size its fields
+    and give the reference's blocks, with the ``X``-divisible blocks
+    empty."""
     triple = ConicTriple(*(
         Conic(row)
         for row in ((2, -1, 1, 0, 0, 0), (1, 2, 1, 0, 0, 0), (1, 1, 2, 0, 0, 0))
     ))
     data = chart_data(triple, 0, modulus=3)
-    assert log_jet_forms(data).alpha.is_zero and wronskian_form(data).reduced.is_zero
+    x, y, c_1 = block_factors(data)
+    assert x.is_zero and c_1.is_zero and not y.is_zero
     space = AnsatzSpace.build(2, 5)
     blocks = expand_ansatz(data, space).blocks
     assert blocks == reduce_blocks(reference_blocks(data, space), 2)
@@ -371,25 +385,28 @@ def test_zero_factors_expand_like_the_reference():
 
 
 def test_multipoly_products_do_not_grow_with_the_weight(monkeypatch):
-    """Only the frame and the three factors ``X``, ``Y`` and ``C_1`` are
-    ``MultiPoly`` products; their powers and the blocks multiply packed
-    maps, so an expansion makes as many ``MultiPoly.__mul__`` calls at
-    ``(6, 5)`` as at ``(3, 3)``."""
-    data = chart_data(FERMAT, 0, modulus=5)
-    calls = []
-    product = MultiPoly.__mul__
+    """``chart_data`` only dehomogenizes: no ``MultiPoly`` product and no
+    derivative.  ``block_factors`` is the one place that differentiates:
+    15 partials (five per conic), and 72 products for the frame, ``D`` and
+    the three factors ``X``, ``Y`` and ``C_1``.  Their powers and the blocks
+    multiply packed maps, so an expansion makes as many calls at ``(6, 5)``
+    as at ``(3, 3)``."""
+    calls = {"__mul__": 0, "deriv": 0}
+    for name in calls:
+        method = getattr(MultiPoly, name)
 
-    def counting(self, other):
-        calls.append(other)
-        return product(self, other)
+        def counting(self, other, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, other)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", counting)
-    counts = []
+        monkeypatch.setattr(MultiPoly, name, counting)
     for m, t in ((3, 3), (5, 4), (6, 5)):
-        calls.clear()
+        for key in calls:
+            calls[key] = 0
+        data = chart_data(FERMAT, 0, modulus=5)
+        assert calls == {"__mul__": 0, "deriv": 0}, (m, t)
         expand_ansatz(data, AnsatzSpace.build(m, t))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == counts[2], counts
+        assert calls == {"__mul__": 72, "deriv": 15}, (m, t)
 
 
 def test_obstruction_rows_frozen_shape():

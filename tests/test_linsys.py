@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -113,6 +114,41 @@ def test_read_sms_never_validates_lines_after_the_terminator(tmp_path):
 def test_sms_import_rejects_malformed(text, tmp_path):
     with pytest.raises(IoFailure):
         sms_system(text, tmp_path, 5)
+
+
+_LONG = "1" * 5000  # past the interpreter's default limit of 4,300 digits for int()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (f"{_LONG} 1 M\n0 0 0\n", "SMS header count too large"),
+        (f"1 {_LONG} M\n0 0 0\n", "SMS header count too large"),
+        (f"1 1 M\n{_LONG} 1 1\n0 0 0\n", "SMS entry out of range"),
+        (f"1 1 M\n1 {_LONG} 1\n0 0 0\n", "SMS entry out of range"),
+        (f"1 1 M\n1 1 {_LONG}\n0 0 0\n", "SMS value not a canonical nonzero residue"),
+        (f"1 2 M\n1 1 1\n1 2 {_LONG}\n0 0 0\n",
+         "SMS value not a canonical nonzero residue"),
+    ],
+    ids=["header-rows", "header-cols", "row", "column", "value", "value-same-row"],
+)
+def test_read_sms_refuses_tokens_past_the_digit_limit(text, reason, tmp_path):
+    """A token longer than ``int()`` accepts fails as ``IoFailure``.  In a
+    triple the reason is the one the whole-text parser gives with the limit
+    lifted: such a number is past every bound."""
+    with pytest.raises(IoFailure) as caught:
+        sms_system(text, tmp_path, 5)
+    message = str(caught.value)
+    assert message.startswith(reason + ": ")
+    if "header" not in reason:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(IoFailure) as oracle:
+                reference_import_sms(text, 5)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert message == str(oracle.value)
 
 
 def test_read_back_shares_one_tuple_per_distinct_entry(tmp_path):
