@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 from typing import Iterable, Iterator, TextIO
 
 from .conics import ConicTriple, chart_data
@@ -237,9 +237,17 @@ def _parse_sms(handle: TextIO, prime: int) -> LinearSystem:
     # a non-ASCII byte anywhere in the file still fails.
     while handle.read(1 << 16):
         pass
+    if len(entries) != n_rows:
+        # Every row the header counts must hold an entry (jetcert writes
+        # no empty row), so a short file cannot demand rows it does not
+        # fill.  The first empty row lies within the rows read, plus one.
+        empty = next(r for r in count(1) if r not in entries)
+        raise IoFailure(
+            f"SMS row {empty} has no entry, but the header counts {n_rows} rows"
+        )
     rows: list[Row] = []
     for r in range(1, n_rows + 1):
-        row = entries.pop(r, [])
+        row = entries.pop(r)
         row.sort()
         if len({c for c, _ in row}) != len(row):
             raise IoFailure(f"duplicate column in SMS row {r}")
@@ -255,7 +263,10 @@ def read_sms(path: str, prime: int) -> LinearSystem:
     triple token must be decimal digits without a leading zero, so signs,
     underscores and padded numbers are rejected instead of read as numbers
     that would not re-export to the same bytes.  A token too long for
-    ``int()`` fails as :class:`IoFailure` too."""
+    ``int()`` fails as :class:`IoFailure` too, and so does a header whose
+    row count the triples do not fill: every row must hold an entry, as
+    every exported row does, so the rows built never outnumber the
+    triples read."""
     try:
         with open(path, "r", encoding="ascii") as handle:
             return _parse_sms(handle, prime)

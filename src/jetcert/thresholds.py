@@ -24,7 +24,10 @@ are floating-point.  The module covers four calculators:
 
 ``exceptional_pairs`` enumerates the finitely many weight/twist pairs that
 escape both analytic regimes for a given constant and therefore need an
-explicit vanishing certificate.
+explicit vanishing certificate.  Its guard and the slope ``g(c)`` are exact
+rationals, computed once per call; the loop over the weights compares
+integers only, cross-multiplied by the positive numerator of the constant,
+so the enumeration stays exact at any ``m_max``.
 """
 
 from __future__ import annotations
@@ -583,16 +586,25 @@ def exceptional_pairs(c, m_max: int) -> list[tuple[int, int]]:
 
     These are the pairs not already covered by either analytic regime (the
     slope bound is strict on its side; the affine cutoff is non-strict on
-    its side), so each listed pair needs an explicit certificate."""
+    its side), so each listed pair needs an explicit certificate.
+
+    The guard and the slope are exact rationals, computed once per call;
+    the loop over the weights runs in integers.  With ``g(c) = n/d`` and
+    ``c = a/b`` in lowest terms (``b, d > 0``), the twist is
+    ``t = max(1, ceil(n*m/d))``, a floor division since ``d > 0``.  The
+    cutoff ``t < m/c + 7`` reads ``t - 7 < m*b/a``, and multiplying it by
+    ``a`` gives ``(t - 7)*a < m*b`` with the same direction and the same
+    strictness, because the guard makes ``a`` positive."""
     c = Fraction(c)
     if not MINIMUM_CONSTANT < c:
         raise ConstantTooSmall(f"constant must exceed (3 + sqrt(6))/3, got {c}")
     slope = vanishing_slope(c)
+    n, d = slope.numerator, slope.denominator
+    a, b = c.numerator, c.denominator
     pairs: list[tuple[int, int]] = []
     for m in range(3, m_max + 1):
-        lower = slope * m
-        t = max(1, -((-lower.numerator) // lower.denominator))  # ceil(lower)
-        if Fraction(t) < Fraction(m, 1) / c + 7:
+        t = max(1, -(-n * m // d))  # ceil(g(c)*m)
+        if (t - 7) * a < m * b:  # t < m/c + 7
             pairs.append((m, t))
     return pairs
 

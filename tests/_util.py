@@ -4,6 +4,8 @@ and the six-variable reference for the jet frame)."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from itertools import count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -11,6 +13,7 @@ from jetcert.conics import ChartData
 from jetcert.jets import AnsatzSpace, JetExpansion, chart_monomial_shift
 from jetcert.linsys import IoFailure, LinearSystem, read_sms, write_sms
 from jetcert.polynomials import MultiPoly
+from jetcert.thresholds import MINIMUM_CONSTANT, ConstantTooSmall, vanishing_slope
 
 
 def random_poly(
@@ -126,6 +129,11 @@ def reference_import_sms(text: str, prime: int) -> LinearSystem:
         entries.setdefault(r, []).append((c - 1, value))
     if not terminated:
         raise IoFailure("missing SMS terminator line")
+    if len(entries) != n_rows:
+        empty = next(r for r in count(1) if r not in entries)
+        raise IoFailure(
+            f"SMS row {empty} has no entry, but the header counts {n_rows} rows"
+        )
     rows = []
     for r in range(1, n_rows + 1):
         row = sorted(entries.get(r, []))
@@ -133,6 +141,22 @@ def reference_import_sms(text: str, prime: int) -> LinearSystem:
             raise IoFailure(f"duplicate column in SMS row {r}")
         rows.append(tuple(row))
     return LinearSystem(prime=prime, n_vars=n_cols, rows=tuple(rows))
+
+
+def reference_exceptional_pairs(c, m_max: int) -> list[tuple[int, int]]:
+    """The ``Fraction`` loop that ``exceptional_pairs`` replaced, kept as the
+    oracle for its pairs and its ``ConstantTooSmall`` message."""
+    c = Fraction(c)
+    if not MINIMUM_CONSTANT < c:
+        raise ConstantTooSmall(f"constant must exceed (3 + sqrt(6))/3, got {c}")
+    slope = vanishing_slope(c)
+    pairs: list[tuple[int, int]] = []
+    for m in range(3, m_max + 1):
+        lower = slope * m
+        t = max(1, -((-lower.numerator) // lower.denominator))  # ceil(lower)
+        if Fraction(t) < Fraction(m, 1) / c + 7:
+            pairs.append((m, t))
+    return pairs
 
 
 def tower_reduce_u2_first(element: MultiPoly) -> MultiPoly:

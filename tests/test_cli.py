@@ -14,6 +14,8 @@ from jetcert import cli
 from jetcert.conics import PRESET_TRIPLES, QUADRIC_MONOMIALS, Conic
 from jetcert.linsys import assemble, sms_checksum
 
+from _util import reference_exceptional_pairs
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -427,6 +429,30 @@ def test_enumerate_command(capsys):
     assert code == 0
     assert payload["pairs"] == [[3, 3], [4, 4], [5, 5], [6, 6], [7, 7]]
     assert payload["slope"] == "1940/2109"
+
+
+_LONGEST_CONSTANT = "7" * 32 + "/" + "3" * 31  # the 64 characters --c allows
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--c", "5", "--m-max", "20"), 0),
+        (("--c", "19", "--m-max", "20"), 0),
+        (("--c", _LONGEST_CONSTANT, "--m-max", "10000"), 0),
+        (("--c", "9/5"), 2),
+    ],
+    ids=["c5", "c19", "longest-constant", "below-the-minimum"],
+)
+def test_enumerate_output_matches_the_fraction_loop(capsys, monkeypatch, argv, code):
+    """``enumerate`` prints the same bytes and exits with the same code as
+    it does with the ``Fraction`` loop that ``exceptional_pairs`` replaced."""
+    got = run_cli(capsys, "enumerate", *argv)
+    monkeypatch.setattr(cli, "exceptional_pairs", reference_exceptional_pairs)
+    assert got == run_cli(capsys, "enumerate", *argv)
+    assert got[0] == code
+    if code == 2:
+        assert got[1:] == ("", "error: constant must exceed (3 + sqrt(6))/3, got 9/5\n")
 
 
 def test_tower_command(capsys):

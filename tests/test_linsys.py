@@ -151,6 +151,30 @@ def test_read_sms_refuses_tokens_past_the_digit_limit(text, reason, tmp_path):
         assert message == str(oracle.value)
 
 
+@pytest.mark.parametrize(
+    "text, empty_row",
+    [
+        ("300000 1 M\n0 0 0\n", 1),  # 18 bytes, no entry at all
+        ("1000000000000 1 M\n1 1 1\n0 0 0\n", 2),
+        ("3 1 M\n1 1 1\n3 1 1\n0 0 0\n", 2),  # row 2 skipped
+        ("3 2 M\n2 1 1\n1 2 1\n2 2 1\n0 0 0\n", 3),  # rows out of order, row 3 empty
+    ],
+    ids=["short-file", "huge-header", "skipped-row", "last-row"],
+)
+def test_read_sms_refuses_rows_the_triples_do_not_fill(text, empty_row, tmp_path):
+    """A header may count only rows that hold an entry: the reader fails
+    after the terminator, naming the first empty row, before it builds any
+    row, as the whole-text oracle does."""
+    n_rows = text.split()[0]
+    reason = f"SMS row {empty_row} has no entry, but the header counts {n_rows} rows"
+    with pytest.raises(IoFailure) as caught:
+        sms_system(text, tmp_path, 5)
+    assert str(caught.value) == reason
+    with pytest.raises(IoFailure) as oracle:
+        reference_import_sms(text, 5)
+    assert str(oracle.value) == reason
+
+
 def test_read_back_shares_one_tuple_per_distinct_entry(tmp_path):
     """The (5,0) control read back holds at most one entry object per
     (column, nonzero coefficient) pair, and equals the assembled system."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import subprocess
 import sys
@@ -42,7 +43,7 @@ from jetcert.thresholds import (
     z_cube_intersection,
 )
 
-from _util import tower_reduce_u2_first
+from _util import reference_exceptional_pairs, tower_reduce_u2_first
 
 
 # -- QuadExt ---------------------------------------------------------------------------
@@ -387,6 +388,105 @@ def test_exceptional_pairs_constant_guard():
         exceptional_pairs(1, 10)
     # Just above the limit is accepted.
     assert isinstance(exceptional_pairs(Fraction(1817, 1000), 5), list)
+
+
+#: Every constant ``num/den`` with ``den < 40`` and ``num < 40*den``: 31,161
+#: constants of 18,959 values, enumerated up to the weight ``_GRID_M_MAX``.
+_GRID = [Fraction(num, den) for den in range(1, 40) for num in range(1, 40 * den)]
+_GRID_M_MAX = 120
+
+
+def _pairs_or_reason(enumerate_pairs, c):
+    try:
+        return enumerate_pairs(c, _GRID_M_MAX)
+    except ConstantTooSmall as exc:
+        return f"ConstantTooSmall: {exc}"
+
+
+def _assert_matches_the_fraction_loop(constants) -> None:
+    """``exceptional_pairs`` gives the oracle's pairs, or fails with its
+    message, on every constant; the oracle runs once per value."""
+    expected: dict[Fraction, list | str] = {}
+    for c in constants:
+        if c not in expected:
+            expected[c] = _pairs_or_reason(reference_exceptional_pairs, c)
+        assert _pairs_or_reason(exceptional_pairs, c) == expected[c], c
+
+
+def _cutoff_weights(c: Fraction) -> list[int]:
+    """The weights at which the minimal twist meets the cutoff exactly,
+    ``t = m/c + 7``, which must not list the pair.  There ``m/c`` is an
+    integer, so ``m`` is a multiple of the numerator of ``c``."""
+    slope = vanishing_slope(c)
+    return [
+        m
+        for m in range(c.numerator, _GRID_M_MAX + 1, c.numerator)
+        if m >= 3 and max(1, math.ceil(slope * m)) == m / c + 7
+    ]
+
+
+def test_exceptional_pairs_match_the_fraction_loop_below_the_minimum():
+    small = [c for c in _GRID if not MINIMUM_CONSTANT < c]
+    assert len(small) == 1397
+    _assert_matches_the_fraction_loop(small)
+
+
+def test_exceptional_pairs_match_the_fraction_loop_at_the_cutoff():
+    """The grid meets the strict side of the cutoff at 370 weights, carried
+    by 37 values of the constant; on each of those the lists agree."""
+    at_cutoff = {}
+    for c in _GRID:
+        if c.numerator <= _GRID_M_MAX and MINIMUM_CONSTANT < c:
+            weights = _cutoff_weights(c)
+            if weights:
+                at_cutoff.setdefault(c, []).extend(weights)
+    assert sum(len(weights) for weights in at_cutoff.values()) == 370
+    assert len(at_cutoff) == 37
+    for c, weights in at_cutoff.items():
+        assert not {m for m, _ in exceptional_pairs(c, _GRID_M_MAX)} & set(weights)
+    _assert_matches_the_fraction_loop(at_cutoff)
+
+
+def test_exceptional_pairs_match_the_fraction_loop_on_small_denominators():
+    _assert_matches_the_fraction_loop(c for c in _GRID if c.denominator < 10)
+
+
+@pytest.mark.extended
+def test_exceptional_pairs_match_the_fraction_loop_on_the_whole_grid():
+    _assert_matches_the_fraction_loop(_GRID)
+
+
+def test_exceptional_pairs_fractions_do_not_grow_with_the_weight(monkeypatch):
+    """The guard and the slope build the same ``Fraction``s at any
+    ``m_max``; the loop over the weights builds none.  The ``Fraction`` loop
+    it replaced built at least five per weight, which the same count sees."""
+    made = [0]
+    construct = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made[0] += 1
+        return construct(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic results, Python 3.12+
+        from_coprime = Fraction._from_coprime_ints
+
+        def counting_from_coprime(cls, numerator, denominator):
+            made[0] += 1
+            return from_coprime(numerator, denominator)
+
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(counting_from_coprime)
+        )
+
+    def constructions(enumerate_pairs, m_max):
+        made[0] = 0
+        enumerate_pairs(Fraction(5), m_max)
+        return made[0]
+
+    assert constructions(exceptional_pairs, 40) == constructions(exceptional_pairs, 400)
+    grown = constructions(reference_exceptional_pairs, 400)
+    assert grown - constructions(reference_exceptional_pairs, 40) >= 5 * 360
 
 
 def test_floor_table_row():
