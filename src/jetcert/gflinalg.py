@@ -1,20 +1,25 @@
 """Exact sparse linear algebra over GF(p).
 
-The core routine is online Gaussian elimination on sparse rows.  The rows
-are read sparsest first (ties broken by row index); each is reduced against
-the pivot log of the rows read before it, and a nonzero residue is
-normalized to 1 at its lowest column and frozen as the next log entry.
-Every frozen row is thus clear of all earlier pivot columns, so one pass in
-log order reduces a row, and one reverse pass back-substitutes.  The order
-is fully deterministic, so rank, nullity and the emitted nullspace basis
-are reproducible bit-for-bit.
+The core routine is online Gauss-Jordan elimination on sparse rows.  The
+rows are read sparsest first (ties broken by row index).  The pivot rows
+are kept fully reduced: each holds 1 at its pivot column and otherwise
+entries in free columns (those that are not pivot columns) only.  So a
+row's residue is one pass over its own entries, each entry in a pivot
+column replaced by its multiple of that pivot row.  A nonzero residue is
+normalized to 1 at its lowest column, which is then cleared from every
+stored row that holds it.  The residue of a row against a set of pivot
+rows is unique, whatever form the rows are kept in, so the pivot columns,
+rank and nullspace basis are those an echelon elimination in the same read
+order finds.  The order is fully deterministic, so rank, nullity and the
+emitted basis are reproducible bit-for-bit.  Its worst case is a chain of
+rows ``x_i + x_(i+1)``, where each new pivot is cleared from every stored
+row; the obstruction systems' pivot rows stay short.
 
 A row whose entries all sit in pivot columns is deferred until the other
-rows were read, and is then reduced only if one of its columns leads,
-through the frozen rows, to a free column (one that is not a pivot column).
-Otherwise it is skipped, which is exact: reducing it could only bring in
-pivot columns, each of which is cleared in turn, so its residue is zero and
-it lies in the span of the log for good.
+rows were read, and is then reduced only if one of those pivot rows has an
+entry in a free column.  Otherwise it is skipped, which is exact: each of
+its entries is then cancelled by a unit pivot row, so its residue is zero
+and it lies in the span of the pivot rows for good.
 
 Elimination stops at rank ``n_vars``, because the obstruction systems carry
 two to three times more rows than unknowns and reducing the surplus to zero
@@ -32,14 +37,14 @@ elimination is provided as an independent oracle for small systems.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from typing import Iterable
 
 from .jets import Row
 from .linsys import LinearSystem
 
-# One entry per rank: (pivot column, source row index, frozen pivot row).
-PivotLog = list[tuple[int, int, dict[int, int]]]
+# Pivot column -> the pivot row without its 1: its entries in free columns.
+PivotRows = dict[int, dict[int, int]]
 
 
 #: :func:`is_prime` is exact below this bound, so no modulus at or above it
@@ -76,9 +81,10 @@ def is_prime(n: int) -> bool:
 class EliminationResult:
     """Outcome of one elimination.
 
-    ``rows_admitted`` counts the rows reduced before it stopped.  Whenever
-    the nullity is above 0, every other row was skipped because it provably
-    lies in the span of the pivot rows (see the module docstring)."""
+    ``rows_admitted`` counts the rows reduced before it stopped, a residue
+    of zero included.  Whenever the nullity is above 0, every other row was
+    skipped because all the pivot rows it meets are unit rows, so it lies
+    in their span (see the module docstring)."""
 
     rank: int
     nullity: int
@@ -94,110 +100,86 @@ def _check_system(system: LinearSystem) -> None:
         raise ValueError(f"modulus {system.prime} is not prime")
 
 
-def _reduce(entries: Row, p: int, pivot_log: PivotLog,
-            position: dict[int, int]) -> dict[int, int]:
-    """The residue of one source row against the frozen pivot log.
-
-    Pivots are applied in log order, driven by a heap of the log positions
-    of the row's pivot columns.  A frozen row is clear of every earlier
-    pivot column, so applying it brings in only later ones and one pass
-    clears them all.
-    """
-    row = {}
+def _residue(entries: Iterable[tuple[int, int]], p: int,
+             tails: PivotRows) -> dict[int, int]:
+    """The residue of one row against the pivot rows, in one pass over its
+    own entries: an entry in a pivot column is replaced by its multiple of
+    that pivot row's tail, which holds free columns only."""
+    row: dict[int, int] = {}
+    get = row.get
     for col, coeff in entries:
-        coeff %= p
-        if coeff:
-            row[col] = coeff
-    heap = [position[c] for c in row if c in position]
-    heapq.heapify(heap)
-    while heap:
-        col, _, pivot = pivot_log[heapq.heappop(heap)]
-        factor = row.get(col)
-        if factor is None:
-            continue
-        neg = p - factor
-        for c, pc in pivot.items():
-            old = row.get(c)
-            if old is None:
-                row[c] = neg * pc % p
-                pos = position.get(c)
-                if pos is not None:
-                    heapq.heappush(heap, pos)
-            else:
-                val = (old + neg * pc) % p
-                if val:
-                    row[c] = val
-                else:
-                    del row[c]
-    return row
+        tail = tails.get(col)
+        if tail is None:
+            row[col] = (get(col, 0) + coeff) % p
+        else:
+            for c, v in tail.items():
+                row[c] = (get(c, 0) - coeff * v) % p
+    return {c: v for c, v in row.items() if v}
 
 
-def _reach(pivot_log: PivotLog, position: dict[int, int]) -> list[bool]:
-    """Per log entry, whether reducing by it can bring in a free column.
+def _eliminate(system: LinearSystem) -> tuple[list[tuple[int, int]], PivotRows, int]:
+    """Gauss-Jordan elimination, one row at a time, sparsest first.
 
-    An entry reaches if its frozen row has a free column, or a pivot column
-    whose entry reaches.  A frozen row names only the pivot columns of later
-    entries, so one reverse pass is exact.
-    """
-    reach = [False] * len(pivot_log)
-    for i in range(len(pivot_log) - 1, -1, -1):
-        col, _, row = pivot_log[i]
-        for c in row:
-            if c != col:
-                pos = position.get(c)
-                if pos is None or reach[pos]:
-                    reach[i] = True
-                    break
-    return reach
-
-
-def _eliminate(system: LinearSystem) -> tuple[PivotLog, int]:
-    """Forward elimination, one row at a time, sparsest first.
-
-    Returns the pivot log, one entry per rank, and the number of rows
-    reduced.  Each log entry is ``(col, row_index, frozen_row)`` where
-    ``frozen_row`` is the row's residue against the log before it,
-    normalized to 1 at its lowest column ``col``; it is therefore clear of
-    all earlier pivot columns.  A row with no entry in a free column is
-    deferred, in order, and after the first pass reduced only if one of its
-    columns reaches (:func:`_reach`); a row that cannot reach is skipped.
+    Returns the pivots as ``(column, row index)`` pairs in the order they
+    were found, the pivot rows (pivot column -> tail) and the number of
+    rows reduced.  A nonzero residue is normalized to 1 at its lowest
+    column ``col``, and ``col`` is then cleared from every stored tail that
+    holds it, found through ``holders`` (free column -> the tails that held
+    it; an entry may since have cancelled).  A row with no entry in a free
+    column is deferred, in order, and after the first pass reduced only if
+    one of its pivot rows has a nonempty tail; otherwise it is skipped.
     """
     p = system.prime
     n = system.n_vars
     source = system.rows
     order = sorted(range(len(source)), key=lambda r: (len(source[r]), r))
-    pivot_log: PivotLog = []
-    position: dict[int, int] = {}  # pivot column -> its index in the log
+    pivots: list[tuple[int, int]] = []
+    tails: PivotRows = {}
+    holders: dict[int, list[dict[int, int]]] = {}
 
     def admit(rid: int) -> None:
-        row = _reduce(source[rid], p, pivot_log, position)
+        row = _residue(source[rid], p, tails)
         if not row:
             return
         col = min(row)
-        inv = pow(row[col], p - 2, p)
+        inv = pow(row.pop(col), p - 2, p)
         if inv != 1:
             for c in row:
                 row[c] = row[c] * inv % p
-        position[col] = len(pivot_log)
-        pivot_log.append((col, rid, row))
+        for c in row:
+            holders.setdefault(c, []).append(row)
+        for tail in holders.pop(col, ()):
+            factor = tail.pop(col, None)
+            if factor is None:
+                continue
+            for c, v in row.items():
+                old = tail.get(c)
+                if old is None:
+                    tail[c] = -factor * v % p
+                    holders[c].append(tail)
+                else:
+                    val = (old - factor * v) % p
+                    if val:
+                        tail[c] = val
+                    else:
+                        del tail[c]
+        tails[col] = row
+        pivots.append((col, rid))
 
     reduced = skipped = 0
     deferred: list[int] = []
     for rid in order:
-        if len(pivot_log) == n:
+        if len(pivots) == n:
             break
-        if all(col in position for col, _ in source[rid]):
+        if all(col in tails for col, _ in source[rid]):
             deferred.append(rid)
             continue
         reduced += 1
         admit(rid)
-    reach: list[bool] = []
     for rid in deferred:
-        if len(pivot_log) == n:
+        if len(pivots) == n:
             break
-        if len(reach) != len(pivot_log):  # a new pivot makes the flags stale
-            reach = _reach(pivot_log, position)
-        if not any(reach[position[col]] for col, _ in source[rid]):
+        if not any(tails[col] for col, _ in source[rid]):
             skipped += 1
             continue
         reduced += 1
@@ -205,18 +187,18 @@ def _eliminate(system: LinearSystem) -> tuple[PivotLog, int]:
     # Soundness: the rank is that of the whole system only if it is full or
     # every row was reduced or skipped.  Raised, not asserted, so that ``-O``
     # keeps it.
-    if len(pivot_log) != n and reduced + skipped != len(source):
+    if len(pivots) != n and reduced + skipped != len(source):
         raise AssertionError("elimination stopped short of full rank with rows left")
-    return pivot_log, reduced
+    return pivots, tails, reduced
 
 
-def _result(system: LinearSystem, pivot_log: PivotLog, reduced: int,
+def _result(system: LinearSystem, pivots: list[tuple[int, int]], reduced: int,
             basis: tuple[dict[int, int], ...] | None = None) -> EliminationResult:
-    rank = len(pivot_log)
+    rank = len(pivots)
     return EliminationResult(
         rank=rank,
         nullity=system.n_vars - rank,
-        pivots=tuple((col, rid) for col, rid, _ in pivot_log),
+        pivots=tuple(pivots),
         rows_admitted=reduced,
         basis=basis,
     )
@@ -234,20 +216,18 @@ def rank_nullity(system: LinearSystem) -> EliminationResult:
     have full rank.
     """
     _check_system(system)
-    return _result(system, *_eliminate(system))
+    pivots, _, reduced = _eliminate(system)
+    return _result(system, pivots, reduced)
 
 
 def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationResult:
     """Rank, nullity and an explicit nullspace basis.
 
-    One basis vector per free column, with a 1 in that column; pivot
-    coordinates are recovered by back-substitution through the pivot log
-    in reverse order (each frozen pivot row is clear of earlier pivot
-    columns, so a single reverse pass suffices).  The pass serves every
-    free column at once: each column keeps the nonzero coordinates of the
-    basis vectors in it, so the work follows the nonzeros produced, not
-    nullity times log size.  A vector's keys are its free column, then its
-    nonzero pivot columns in reverse log order.
+    One basis vector per free column, with a 1 in that column; the pivot
+    rows are fully reduced, so the vector's coordinate at a pivot column is
+    minus that pivot row's entry in the free column, read straight off the
+    rows.  A vector's keys are its free column, then its nonzero pivot
+    columns in reverse pivot order.
 
     A nonzero nullity is reached only after every row was reduced, leaving
     a residue in the span of the pivot rows, or skipped because it lies in
@@ -260,24 +240,12 @@ def nullspace_basis(system: LinearSystem, *, workers: int = 0) -> EliminationRes
     """
     _check_system(system)
     p = system.prime
-    pivot_log, reduced = _eliminate(system)
-    pivot_cols = {col for col, _, _ in pivot_log}
-    free_cols = [c for c in range(system.n_vars) if c not in pivot_cols]
-    # column -> {basis index: nonzero coordinate of that vector}
-    values: dict[int, dict[int, int]] = {free: {k: 1} for k, free in enumerate(free_cols)}
-    basis = [{free: 1} for free in free_cols]
-    for col, _, row in reversed(pivot_log):
-        acc: dict[int, int] = {}
-        for c, coeff in row.items():
-            if c != col:
-                for k, v in values[c].items():
-                    acc[k] = (acc.get(k, 0) + coeff * v) % p
-        values[col] = coords = {k: p - a for k, a in acc.items() if a}
-        for k, v in coords.items():
-            basis[k][col] = v
-    result = _result(system, pivot_log, reduced, tuple(basis))
-    assert result.nullity == len(basis)
-    return result
+    pivots, tails, reduced = _eliminate(system)
+    basis = {c: {c: 1} for c in range(system.n_vars) if c not in tails}
+    for col, _ in reversed(pivots):
+        for c, v in tails[col].items():
+            basis[c][col] = p - v
+    return _result(system, pivots, reduced, tuple(basis.values()))
 
 
 def verify_solution(system: LinearSystem, vector: dict[int, int]) -> bool:
@@ -286,9 +254,9 @@ def verify_solution(system: LinearSystem, vector: dict[int, int]) -> bool:
     Only a row that meets the vector's support can fail, so only those rows
     are visited, found through ``system.column_rows``."""
     p = system.prime
-    reduced = {c: v % p for c, v in vector.items() if v % p}
-    if any(not 0 <= c < system.n_vars for c in reduced):
+    if any(not 0 <= c < system.n_vars for c in vector):
         raise ValueError("vector has coordinates outside the unknown range")
+    reduced = {c: v % p for c, v in vector.items() if v % p}
     index = system.column_rows
     touched: set[int] = set()
     for c in reduced:
@@ -349,13 +317,12 @@ def dense_rank_nullity(system: LinearSystem) -> tuple[int, int]:
 def in_row_span(system: LinearSystem, vectors: tuple[dict[int, int], ...],
                 candidate: dict[int, int]) -> bool:
     """Whether ``candidate`` lies in the GF(p) span of ``vectors``: its
-    residue against the pivot log of ``vectors`` is empty."""
+    residue against the pivot rows of ``vectors`` is empty."""
     p = system.prime
     base_rows = tuple(
         tuple(sorted((c, v % p) for c, v in vec.items() if v % p)) for vec in vectors
     )
     base = LinearSystem(prime=p, n_vars=system.n_vars, rows=base_rows)
     _check_system(base)
-    pivot_log, _ = _eliminate(base)
-    position = {col: i for i, (col, _, _) in enumerate(pivot_log)}
-    return not _reduce(candidate.items(), p, pivot_log, position)
+    _, tails, _ = _eliminate(base)
+    return not _residue(candidate.items(), p, tails)

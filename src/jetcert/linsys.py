@@ -178,15 +178,22 @@ def _parse_sms(handle: TextIO, prime: int) -> LinearSystem:
         n_rows, n_cols = int(header[0]), int(header[1])
     except ValueError:  # past the interpreter's limit on digits for int()
         raise IoFailure(f"SMS header count too large: {first!r}") from None
-    # One shared (column, coefficient) tuple per distinct pair, keyed
-    # ``column * prime + coefficient``; each row lists its entries as read.
-    pairs: dict[int, tuple[int, int]] = {}
+    # One shared (column, coefficient) tuple per distinct pair, keyed by its
+    # two tokens: canonical tokens map one-to-one to the ints they name.
+    # Each row lists its entries as read.
+    pairs: dict[tuple[str, str], tuple[int, int]] = {}
     entries: dict[int, list[tuple[int, int]]] = {}
     row_token, row = "", []  # the last row token read, and its entries
     terminated = False
     try:
         for line in lines:
             parts = line.split()
+            if len(parts) == 3 and parts[0] == row_token:
+                # Every check is per token, and these tokens all passed.
+                pair = pairs.get((parts[1], parts[2]))
+                if pair is not None:
+                    row.append(pair)
+                    continue
             if not parts:
                 continue
             if len(parts) != 3:
@@ -209,16 +216,15 @@ def _parse_sms(handle: TextIO, prime: int) -> LinearSystem:
                 if row is None:
                     row = entries[r] = []
                 row_token = rt
-            c = int(ct) - 1
-            if c >= n_cols:
-                raise IoFailure(f"SMS entry out of range: {line!r}")
-            value = int(vt)
-            if value >= prime:
-                raise IoFailure(f"SMS value not a canonical nonzero residue: {line!r}")
-            key = c * prime + value
-            pair = pairs.get(key)
+            pair = pairs.get((ct, vt))
             if pair is None:
-                pair = pairs[key] = (c, value)
+                c = int(ct) - 1
+                if c >= n_cols:
+                    raise IoFailure(f"SMS entry out of range: {line!r}")
+                value = int(vt)
+                if value >= prime:
+                    raise IoFailure(f"SMS value not a canonical nonzero residue: {line!r}")
+                pair = pairs[ct, vt] = (c, value)
             row.append(pair)
     except UnicodeDecodeError:
         raise

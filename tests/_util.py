@@ -3,6 +3,7 @@ and the six-variable reference for the jet frame)."""
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import count
@@ -431,10 +432,138 @@ def tuple_product(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly(f.arity, out, f.modulus)
 
 
-def backsubstitute_per_free_column(pivot_log, n_vars: int, p: int) -> list[dict]:
+# -- the echelon elimination that Gauss-Jordan replaced ----------------------------
+#
+# The online elimination as it was before the pivot rows were kept fully
+# reduced: each frozen row is clear of the earlier pivot columns only, a
+# row is reduced in log order driven by a heap, and the basis comes from one
+# reverse back-substitution pass.  Same read order, deferral and stop at
+# rank ``n_vars``, so it must give the same pivots and basis.
+
+# One entry per rank: (pivot column, source row index, frozen pivot row).
+PivotLog = list[tuple[int, int, dict[int, int]]]
+
+
+def reference_reduce(entries, p: int, pivot_log: PivotLog,
+                     position: dict[int, int]) -> dict[int, int]:
+    """The residue of one source row against the frozen pivot log, applying
+    pivots in log order from a heap of the log positions it meets."""
+    row = {}
+    for col, coeff in entries:
+        coeff %= p
+        if coeff:
+            row[col] = coeff
+    heap = [position[c] for c in row if c in position]
+    heapq.heapify(heap)
+    while heap:
+        col, _, pivot = pivot_log[heapq.heappop(heap)]
+        factor = row.get(col)
+        if factor is None:
+            continue
+        neg = p - factor
+        for c, pc in pivot.items():
+            old = row.get(c)
+            if old is None:
+                row[c] = neg * pc % p
+                pos = position.get(c)
+                if pos is not None:
+                    heapq.heappush(heap, pos)
+            else:
+                val = (old + neg * pc) % p
+                if val:
+                    row[c] = val
+                else:
+                    del row[c]
+    return row
+
+
+def reference_reach(pivot_log: PivotLog, position: dict[int, int]) -> list[bool]:
+    """Per log entry, whether reducing by it can bring in a free column: its
+    frozen row has a free column, or a pivot column whose entry reaches."""
+    reach = [False] * len(pivot_log)
+    for i in range(len(pivot_log) - 1, -1, -1):
+        col, _, row = pivot_log[i]
+        for c in row:
+            if c != col:
+                pos = position.get(c)
+                if pos is None or reach[pos]:
+                    reach[i] = True
+                    break
+    return reach
+
+
+def reference_eliminate(system: LinearSystem) -> tuple[PivotLog, int]:
+    """The pivot log, one ``(col, row_index, frozen_row)`` per rank, and the
+    number of rows reduced."""
+    p = system.prime
+    n = system.n_vars
+    source = system.rows
+    order = sorted(range(len(source)), key=lambda r: (len(source[r]), r))
+    pivot_log: PivotLog = []
+    position: dict[int, int] = {}  # pivot column -> its index in the log
+
+    def admit(rid: int) -> None:
+        row = reference_reduce(source[rid], p, pivot_log, position)
+        if not row:
+            return
+        col = min(row)
+        inv = pow(row[col], p - 2, p)
+        if inv != 1:
+            for c in row:
+                row[c] = row[c] * inv % p
+        position[col] = len(pivot_log)
+        pivot_log.append((col, rid, row))
+
+    reduced = skipped = 0
+    deferred: list[int] = []
+    for rid in order:
+        if len(pivot_log) == n:
+            break
+        if all(col in position for col, _ in source[rid]):
+            deferred.append(rid)
+            continue
+        reduced += 1
+        admit(rid)
+    reach: list[bool] = []
+    for rid in deferred:
+        if len(pivot_log) == n:
+            break
+        if len(reach) != len(pivot_log):  # a new pivot makes the flags stale
+            reach = reference_reach(pivot_log, position)
+        if not any(reach[position[col]] for col, _ in source[rid]):
+            skipped += 1
+            continue
+        reduced += 1
+        admit(rid)
+    if len(pivot_log) != n and reduced + skipped != len(source):
+        raise AssertionError("elimination stopped short of full rank with rows left")
+    return pivot_log, reduced
+
+
+def reference_backsubstitute(pivot_log: PivotLog, n_vars: int, p: int) -> list[dict]:
+    """The nullspace basis in one reverse pass through the pivot log: each
+    column keeps the nonzero coordinates of the basis vectors in it."""
+    pivot_cols = {col for col, _, _ in pivot_log}
+    free_cols = [c for c in range(n_vars) if c not in pivot_cols]
+    # column -> {basis index: nonzero coordinate of that vector}
+    values: dict[int, dict[int, int]] = {free: {k: 1} for k, free in enumerate(free_cols)}
+    basis = [{free: 1} for free in free_cols]
+    for col, _, row in reversed(pivot_log):
+        acc: dict[int, int] = {}
+        for c, coeff in row.items():
+            if c != col:
+                for k, v in values[c].items():
+                    acc[k] = (acc.get(k, 0) + coeff * v) % p
+        values[col] = coords = {k: p - a for k, a in acc.items() if a}
+        for k, v in coords.items():
+            basis[k][col] = v
+    return basis
+
+
+def backsubstitute_per_free_column(pivot_log: PivotLog, n_vars: int, p: int) -> list[dict]:
     """The nullspace basis the plain way: for each free column in turn, one
     back-substitution through the whole pivot log of
-    :func:`jetcert.gflinalg._eliminate`."""
+    :func:`reference_eliminate`."""
     pivot_cols = {col for col, _, _ in pivot_log}
     basis = []
     for free in (c for c in range(n_vars) if c not in pivot_cols):

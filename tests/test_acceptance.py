@@ -49,7 +49,15 @@ from jetcert.thresholds import (
     z_cube_intersection,
 )
 
-from _util import random_poly, reduce_blocks, reduce_mod, reference_blocks, sms_system, sms_text
+from _util import (
+    random_poly,
+    reduce_blocks,
+    reduce_mod,
+    reference_blocks,
+    reference_eliminate,
+    sms_system,
+    sms_text,
+)
 
 FERMAT = PRESET_TRIPLES["fermat"]
 PRIME = 5
@@ -121,6 +129,10 @@ SYSTEM_SHA256 = {
 }
 # Rows the online elimination reduces before reaching full rank.
 ROWS_ADMITTED = {(3, 3): 119, (4, 3): 323, (4, 4): 247, (5, 4): 607, (5, 5): 471}
+# Rows reduced on the controls, which read every row not proved to lie in
+# the span; at (5,0) the echelon oracle reduces 14 more, whose residues
+# are exactly zero.
+CONTROL_ROWS_ADMITTED = {(3, 0): 293, (4, 0): 687, (5, 0): 1455}
 
 
 @pytest.mark.parametrize("m,t", GATING_PAIRS)
@@ -138,6 +150,18 @@ def test_gating_certification(m, t):
     # small enough for it.
     if system.n_vars <= 500:
         assert dense_rank_nullity(system) == (outcome.rank, outcome.nullity)
+
+
+@pytest.mark.parametrize("m,t", GATING_PAIRS + CONTROL_PAIRS)
+def test_rows_admitted_against_the_echelon_oracle(m, t):
+    """The rows reduced equal the echelon oracle's on every gating pin and
+    are never more: a deferred row is skipped whenever its pivot rows are
+    all unit rows, which holds for every row the oracle skips."""
+    system = assemble(FERMAT, m, t, PRIME)
+    admitted = rank_nullity(system).rows_admitted
+    _, oracle = reference_eliminate(system)
+    assert admitted == {**ROWS_ADMITTED, **CONTROL_ROWS_ADMITTED}[(m, t)]
+    assert oracle - admitted == (14 if (m, t) == (5, 0) else 0)
 
 
 @pytest.mark.parametrize("m,t", CONTROL_PAIRS)
@@ -209,6 +233,7 @@ def test_stretch_certification(m, t):
             {
                 "instance": {"m": m, "t": t},
                 "counts": {"n_vars": system.n_vars, "n_rows": system.n_rows},
+                "work": {"rows_admitted": outcome.rows_admitted},
                 "result": {"rank": outcome.rank, "nullity": outcome.nullity},
                 "timings": timings,
             }

@@ -3,12 +3,12 @@
 The load-bearing check is sparse-vs-dense agreement on seeded random
 systems: the sparse online elimination and the textbook dense elimination
 are independent code paths that must report identical rank and nullity,
-and every emitted nullspace vector must annihilate every row.  The pivot
-log that the sparse engine, its reduction and its back-substitution share
-is checked directly, and so is the rule that skips a row proved to lie in
-the span of the pivot rows.  The one-pass back-substitution and the
-solution check that visits only the rows meeting a vector's support are
-compared with plain reference versions.
+and every emitted nullspace vector must annihilate every row.  The fully
+reduced pivot rows that the residue, the skip rule and the basis read are
+checked directly.  The echelon elimination they replaced
+(``_util.reference_eliminate``) is the oracle for the pivots, the basis
+and the rows reduced, and the solution check that visits only the rows
+meeting a vector's support is compared with a check of every row.
 """
 
 from __future__ import annotations
@@ -30,7 +30,13 @@ from jetcert.gflinalg import (
 )
 from jetcert.linsys import LinearSystem, assemble
 
-from _util import annihilated_by_every_row, backsubstitute_per_free_column
+from _util import (
+    annihilated_by_every_row,
+    backsubstitute_per_free_column,
+    reference_backsubstitute,
+    reference_eliminate,
+    reference_reduce,
+)
 
 FERMAT = PRESET_TRIPLES["fermat"]
 
@@ -132,8 +138,10 @@ def test_verify_solution_validates_input():
     assert verify_solution(system, {0: 1, 1: 4})
     assert not verify_solution(system, {0: 1, 1: 1})
     assert verify_solution(system, {0: 5, 1: 10})  # reduces to the zero vector
-    with pytest.raises(ValueError):
-        verify_solution(system, {7: 1})
+    # The range check reads every key, also one whose value is 0 mod p.
+    for vector in ({7: 1}, {7: 5}, {-1: 10, 0: 1, 1: 4}):
+        with pytest.raises(ValueError, match="outside the unknown range"):
+            verify_solution(system, vector)
 
 
 def test_in_row_span_negative():
@@ -194,7 +202,7 @@ def test_late_dense_row_completes_the_rank():
 
 def test_row_that_touches_no_free_column_can_complete_the_rank():
     """Row 3 touches only pivot columns, yet its residue carries the free
-    column 1; reducing it against the log must keep that residue."""
+    column 1; reducing it against the pivot rows must keep that residue."""
     rows = (((0, 1), (1, 1)), ((0, 2), (1, 2)), ((2, 1),), ((0, 1), (2, 1)))
     system = LinearSystem(prime=5, n_vars=3, rows=rows)
     result = rank_nullity(system)
@@ -204,9 +212,10 @@ def test_row_that_touches_no_free_column_can_complete_the_rank():
 
 def test_deferred_row_reaches_the_free_column_through_two_pivot_rows():
     """Row 3 touches only the pivot columns 0 and 3, so it is deferred.  The
-    frozen row of column 0 names pivot column 1, whose frozen row names the
-    free column 2: only this path through two pivot rows shows that row 3
-    has a nonzero residue, and a check one level deep would skip it."""
+    row of column 0 was found holding column 1, and clearing column 1 when
+    it became a pivot brought in the free column 2: the skip rule must read
+    the pivot row as it is now, or it would skip a row with a nonzero
+    residue."""
     rows = (((3, 1),), ((0, 1), (1, 1)), ((1, 1), (2, 1)), ((0, 1), (3, 1)))
     system = LinearSystem(prime=5, n_vars=4, rows=rows)
     result = rank_nullity(system)
@@ -282,7 +291,7 @@ def test_fermat_4_3_certifies_from_a_row_subset():
 
 @pytest.mark.parametrize("which", ["fermat-3-0", "planted"])
 def test_basis_is_annihilated_by_every_row(which):
-    """Back-substitution through the pivot log of a deficient system gives
+    """The basis read off the pivot rows of a deficient system holds
     vectors that every row of the system annihilates, not only the pivot
     rows."""
     if which == "fermat-3-0":
@@ -297,31 +306,59 @@ def test_basis_is_annihilated_by_every_row(which):
         assert annihilated_by_every_row(system, vector)
 
 
+def _deficient_systems():
+    """Seeded systems with a planted kernel, so a nonzero nullity."""
+    rng = random.Random(2026)
+    for _ in range(50):
+        prime = rng.choice([5, 7, 11])
+        n_vars = rng.randint(4, 60)
+        n_rows = rng.randint(n_vars // 2, 3 * n_vars)
+        yield _planted_kernel_system(rng, n_vars, n_rows, prime, rng.randint(1, 2))
+
+
+def _chain_system(n):
+    """Rows ``x_i + x_(i+1)``: each new pivot must be cleared from every
+    stored row, the most back-updates Gauss-Jordan can make."""
+    rows = tuple(((i, 1), (i + 1, 1)) for i in range(n))
+    return LinearSystem(prime=5, n_vars=n + 1, rows=rows)
+
+
 def _named_systems(which):
-    """``fermat-m-t`` (one assembled system), ``oracle`` or ``mixed-p``."""
+    """``fermat-m-t`` (one assembled system), ``oracle``, ``mixed-p``,
+    ``deficient`` or ``chain``."""
     kind, *args = which.split("-")
     if kind == "fermat":
         return [assemble(FERMAT, int(args[0]), int(args[1]), 5)]
     if kind == "oracle":
         return _oracle_systems()
+    if kind == "deficient":
+        return _deficient_systems()
+    if kind == "chain":
+        return [_chain_system(300)]
     return _mixed_systems(int(args[0]))
 
 
 @pytest.mark.parametrize("which", ["fermat-4-3", "fermat-3-0", "oracle", "mixed-5", "mixed-7"])
 def test_pivot_log_invariant(which):
-    """What the one-pass reduction and back-substitution rely on: every
-    frozen row has 1 at its pivot column and no entry in an earlier pivot
-    column.  The rows named by ``pivots`` are independent, so at full rank
+    """What the one-pass residue, the skip rule and the basis rely on: each
+    stored pivot row is 1 at its pivot column and otherwise holds free
+    columns only, no entry in another pivot column.  It lies in the span of
+    the echelon oracle's pivot rows, so it is the unique such row of that
+    span.  The rows named by ``pivots`` are independent, so at full rank
     they alone have full rank: the witness of the certificate."""
     for system in _named_systems(which):
-        pivot_log, _ = _eliminate(system)
-        earlier: set[int] = set()
-        for col, _, row in pivot_log:
-            assert row[col] == 1
-            assert earlier.isdisjoint(row)
-            earlier.add(col)
+        p = system.prime
+        pivots, tails, _ = _eliminate(system)
+        assert [col for col, _ in pivots] == list(tails)
+        pivot_log, _ = reference_eliminate(system)
+        position = {col: i for i, (col, _, _) in enumerate(pivot_log)}
+        for col, tail in tails.items():
+            assert tails.keys().isdisjoint(tail)
+            assert all(0 < v < p for v in tail.values())
+            row = [(col, 1), *tail.items()]
+            assert not reference_reduce(row, p, pivot_log, position)
         result = rank_nullity(system)
-        assert result.pivots == tuple((col, rid) for col, rid, _ in pivot_log)
+        assert result.pivots == tuple(pivots)
         rids = [rid for _, rid in result.pivots]
         assert len(set(rids)) == len(rids)
         witness = LinearSystem(
@@ -333,13 +370,60 @@ def test_pivot_log_invariant(which):
 
 
 @pytest.mark.parametrize(
+    "which",
+    ["fermat-3-0", "fermat-4-0", "fermat-5-0", "fermat-6-3", "oracle", "mixed-5",
+     "mixed-7", "deficient", "chain"],
+)
+def test_gauss_jordan_matches_the_echelon_oracle(which):
+    """The residue of a row against a set of pivot rows is unique, so the
+    fully reduced rows find the echelon oracle's pivots, rank and nullity
+    and the same basis, values and key order.  The exact skip rule reduces
+    no row that the oracle skips."""
+    for system in _named_systems(which):
+        result = nullspace_basis(system)
+        pivot_log, reduced = reference_eliminate(system)
+        assert result.pivots == tuple((col, rid) for col, rid, _ in pivot_log)
+        assert result.rank == len(pivot_log)
+        assert result.rows_admitted <= reduced
+        expected = reference_backsubstitute(pivot_log, system.n_vars, system.prime)
+        assert [list(v.items()) for v in result.basis] == [list(v.items()) for v in expected]
+        if which in ("deficient", "chain"):
+            assert result.nullity > 0
+
+
+def test_chain_system_matches_the_dense_oracle():
+    system = _chain_system(300)
+    result = nullspace_basis(system)
+    assert (result.rank, result.nullity) == dense_rank_nullity(system) == (300, 1)
+    assert result.rows_admitted == 300
+    (vector,) = result.basis
+    assert len(vector) == 301
+    assert annihilated_by_every_row(system, vector)
+
+
+@pytest.mark.parametrize("m,t,held,oracle", [(5, 0, 3492, 5543), (4, 3, 295, 912)])
+def test_stored_rows_stay_sparse(m, t, held, oracle):
+    """Entries held by the pivot rows after elimination, each row's 1
+    counted: fully reduced rows hold fewer than the echelon log, and at
+    full rank exactly ``n_vars``, one unit row per unknown."""
+    system = assemble(FERMAT, m, t, 5)
+    pivots, tails, _ = _eliminate(system)
+    assert len(pivots) + sum(len(tail) for tail in tails.values()) == held
+    pivot_log, _ = reference_eliminate(system)
+    assert sum(len(row) for _, _, row in pivot_log) == oracle
+    if len(pivots) == system.n_vars:
+        assert held == system.n_vars
+
+
+@pytest.mark.parametrize(
     "which", ["fermat-3-0", "fermat-4-0", "fermat-5-0", "oracle", "mixed-5", "mixed-7"]
 )
 def test_backsubstitution_matches_per_column_reference(which):
-    """The one reverse pass gives, on the same pivot log, the vectors of one
-    back-substitution per free column: same keys, values and key order."""
+    """The basis read off the pivot rows is, on the echelon oracle's pivot
+    log, the one back-substitution per free column gives: same keys,
+    values and key order."""
     for system in _named_systems(which):
-        pivot_log, _ = _eliminate(system)
+        pivot_log, _ = reference_eliminate(system)
         expected = backsubstitute_per_free_column(pivot_log, system.n_vars, system.prime)
         basis = nullspace_basis(system).basis
         assert [list(v.items()) for v in basis] == [list(v.items()) for v in expected]
