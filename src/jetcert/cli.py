@@ -1,4 +1,4 @@
-"""Command-line front end: configuration, verification runs, reports.
+"""Command-line front end: flags, verification runs, reports.
 
 Commands
 --------
@@ -12,8 +12,8 @@ tower          print the quartic pairing table and the degree-4 identity check
 
 argparse hands each command to its runner, which returns the JSON payload and
 exit code that ``main`` prints and returns.  ``verify`` and ``export-matrix``
-merge their flags with ``--config`` into a :class:`RunConfig`; the calculators
-``thresholds``, ``enumerate`` and ``tower`` read argv alone.
+gather their flags into a :class:`RunConfig`; the calculators ``thresholds``,
+``enumerate`` and ``tower`` read argv alone.
 
 Bad input, including a singular or repeated conic, two tangent conics, three
 conics through one point, a prime modulo which a conic is singular or two
@@ -63,7 +63,7 @@ from .thresholds import (
 
 
 class ConfigError(Exception):
-    """Invalid command-line or config-file input; maps to exit code 2."""
+    """Invalid command-line input or conic file; maps to exit code 2."""
 
 
 _CHART_TOKENS = {"z0": 0, "z1": 1, "z2": 2, "0": 0, "1": 1, "2": 2}
@@ -80,9 +80,9 @@ _MAX_CONSTANT_CHARS = 64
 
 @dataclass
 class RunConfig:
-    """The inputs of ``verify`` and ``export-matrix``, merged from argv and
-    ``--config`` by :func:`_merge_config`.  ``output`` is export-matrix's
-    destination; ``export_matrix`` and ``report`` are verify's."""
+    """The inputs of ``verify`` and ``export-matrix``, read from their flags
+    by :func:`_run_config`.  ``output`` is export-matrix's destination;
+    ``export_matrix`` and ``report`` are verify's."""
 
     command: str
     conics: str
@@ -155,24 +155,19 @@ def _parse_entry(value) -> Fraction:
     raise ConfigError(f"bad conic coefficient {value!r}")
 
 
-def _read_json(path: str, what: str):
-    """The JSON value in a file; ``what`` names the file in the reasons."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} {path!r} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
-
-
 def load_conics(source: str) -> ConicTriple:
     """A builtin preset name, or a JSON file holding three 6-entry rows."""
     if source in PRESET_TRIPLES:
         return PRESET_TRIPLES[source]
-    payload = _read_json(source, "conic file")
+    try:
+        with open(source, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read conic file {source!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"conic file {source!r} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"conic file {source!r} is not valid JSON: {exc}") from exc
     if not (isinstance(payload, list) and len(payload) == 3):
         raise ConfigError("conic file must hold exactly three rows")
     conics = []
@@ -320,14 +315,12 @@ def run_verify(cfg: RunConfig) -> VanishingVerdict:
 
 
 def _verify_command(args: argparse.Namespace) -> tuple[dict, int]:
-    verdict = run_verify(_merge_config(args))
+    verdict = run_verify(_run_config(args))
     return verdict.as_dict(), verdict.exit_code
 
 
 def run_export(args: argparse.Namespace) -> tuple[dict, int]:
-    cfg = _merge_config(args)
-    if not cfg.output:
-        raise ConfigError("export-matrix requires --output")
+    cfg = _run_config(args)
     system = _assemble_checked(cfg, 1)
     checksum = write_sms(system, cfg.output)
     return {
@@ -426,14 +419,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_system_flags(p, with_verify_outputs):
-        p.add_argument("--conics", default=None, help="preset name or JSON file")
+        p.add_argument("--conics", default="fermat", help="preset name or JSON file")
         p.add_argument("--m", type=int, default=None, help="jet weight")
         p.add_argument("--t", type=int, default=None, help="twist")
-        p.add_argument("--prime", type=int, default=None, help="field size (prime)")
+        p.add_argument("--prime", type=int, default=5, help="field size (prime)")
         p.add_argument(
-            "--charts", default=None, help="comma list from z0,z1,z2 (default z0,z2)"
+            "--charts", default="z0,z2", help="comma list from z0,z1,z2 (default z0,z2)"
         )
-        p.add_argument("--config", default=None, help="JSON file with these keys")
         if with_verify_outputs:
             p.add_argument("--export-matrix", dest="export_matrix", default=None)
             p.add_argument("--report", default=None, help="write the JSON report here")
@@ -472,68 +464,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """The :class:`RunConfig` of a ``verify`` or ``export-matrix`` argv: a
-    flag given on the command line wins over the ``--config`` file's key of
-    the same name, which wins over the default.  File values keep their
-    JSON types; a wrong type is bad input, never coerced.  Like the
-    calculators' keys, verify's output keys are ignored by export-matrix."""
-    file_values: dict = {}
-    if args.config == "":
-        raise ConfigError("config must not be empty")
-    if args.config is not None:
-        file_values = _read_json(args.config, "config")
-        if not isinstance(file_values, dict):
-            raise ConfigError("config file must hold a JSON object")
-
-    def pick(name, default):
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            return cli_value
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    def pick_path(name):
-        value = pick(name, None)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{name} must be a file path")
-        if value == "":
-            raise ConfigError(f"{name} must not be empty")
-        return value
-
-    def pick_int(name, default):
-        value = pick(name, default)
-        if value is None and default is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        return value
-
-    conics = pick("conics", "fermat")
-    if not isinstance(conics, str):
-        raise ConfigError(f"conics must be a preset name or file path, got {conics!r}")
-
-    charts_value = pick("charts", "z0,z2")
-    if isinstance(charts_value, str):
-        charts = parse_charts(charts_value)
-    elif isinstance(charts_value, (list, tuple)):
-        charts = parse_charts(",".join(str(c) for c in charts_value))
-    else:
-        raise ConfigError("charts must be a string or list")
-
-    verify = args.command == "verify"
-    return RunConfig(
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The :class:`RunConfig` of a ``verify`` or ``export-matrix`` argv.
+    Only verify has ``--export-matrix`` and ``--report``, only export-matrix
+    ``--output``; a flag the command lacks reads as ``None``."""
+    cfg = RunConfig(
         command=args.command,
-        conics=conics,
-        m=pick_int("m", None),
-        t=pick_int("t", None),
-        prime=pick_int("prime", 5),
-        charts=charts,
-        export_matrix=pick_path("export_matrix") if verify else None,
-        report=pick_path("report") if verify else None,
-        output=None if verify else args.output,
+        conics=args.conics,
+        m=args.m,
+        t=args.t,
+        prime=args.prime,
+        charts=parse_charts(args.charts),
+        export_matrix=getattr(args, "export_matrix", None),
+        report=getattr(args, "report", None),
+        output=getattr(args, "output", None),
     )
+    paths = {"--export-matrix": cfg.export_matrix, "--report": cfg.report,
+             "--output": cfg.output}
+    for flag, path in paths.items():
+        if path == "":
+            raise ConfigError(f"{flag} must not be empty")
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -100,6 +100,11 @@ def _check_system(system: LinearSystem) -> None:
         raise ValueError(f"modulus {system.prime} is not prime")
 
 
+def _check_coordinates(system: LinearSystem, vector: dict[int, int]) -> None:
+    if any(not 0 <= c < system.n_vars for c in vector):
+        raise ValueError("vector has coordinates outside the unknown range")
+
+
 def _residue(entries: Iterable[tuple[int, int]], p: int,
              tails: PivotRows) -> dict[int, int]:
     """The residue of one row against the pivot rows, in one pass over its
@@ -254,8 +259,7 @@ def verify_solution(system: LinearSystem, vector: dict[int, int]) -> bool:
     Only a row that meets the vector's support can fail, so only those rows
     are visited, found through ``system.column_rows``."""
     p = system.prime
-    if any(not 0 <= c < system.n_vars for c in vector):
-        raise ValueError("vector has coordinates outside the unknown range")
+    _check_coordinates(system, vector)
     reduced = {c: v % p for c, v in vector.items() if v % p}
     index = system.column_rows
     touched: set[int] = set()
@@ -317,8 +321,11 @@ def dense_rank_nullity(system: LinearSystem) -> tuple[int, int]:
 def in_row_span(system: LinearSystem, vectors: tuple[dict[int, int], ...],
                 candidate: dict[int, int]) -> bool:
     """Whether ``candidate`` lies in the GF(p) span of ``vectors``: its
-    residue against the pivot rows of ``vectors`` is empty."""
+    residue against the pivot rows of ``vectors`` is empty.  Like
+    :func:`verify_solution`, it refuses a key outside ``0..n_vars-1``."""
     p = system.prime
+    for vector in (*vectors, candidate):
+        _check_coordinates(system, vector)
     base_rows = tuple(
         tuple(sorted((c, v % p) for c, v in vec.items() if v % p)) for vec in vectors
     )

@@ -380,12 +380,15 @@ def _slot_rows(expansion: JetExpansion, prime: int) -> Iterator[Row]:
                             buckets[at] = {col: coeff}
                         else:
                             bucket[col] = coeff
+        # A bucket's columns arrive ascending, so its row needs no sort: the
+        # blocks are visited in column order (AnsatzSpace numbers columns
+        # block by block), each block lists its columns ascending, and a
+        # column meets a monomial at most once.
         for _, bucket in sorted(buckets.items()):
-            cols = sorted(bucket)
-            inverse = pow(bucket[cols[0]], prime - 2, prime)
+            inverse = pow(next(iter(bucket.values())), prime - 2, prime)
             row = []
-            for col in cols:
-                pair = col * prime + bucket[col] * inverse % prime
+            for col, coeff in bucket.items():
+                pair = col * prime + coeff * inverse % prime
                 row.append(pairs.get(pair) or pairs.setdefault(pair, divmod(pair, prime)))
             yield tuple(row)
 

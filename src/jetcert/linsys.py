@@ -115,15 +115,19 @@ class _ValueText(dict):
 
 
 def _sms_chunks(system: LinearSystem) -> Iterator[str]:
-    """The SMS text in pieces: the header, one chunk per nonempty row and
-    the terminator.  Every line ends in a newline."""
+    """The SMS text in pieces: the header, one chunk per row and the
+    terminator.  Every line ends in a newline.  An empty row has no triple
+    to stand for it, and :func:`read_sms` refuses a header counting rows
+    the triples do not fill, so such a row fails here as :class:`IoFailure`
+    instead of writing a file that does not read back."""
     yield f"{system.n_rows} {system.n_vars} M\n"
     cols = [f" {col} " for col in range(1, system.n_vars + 1)]
     values = _ValueText()
     for r, row in enumerate(system.rows, start=1):
-        if row:
-            prefix = str(r)
-            yield prefix + prefix.join([cols[col] + values[coeff] for col, coeff in row])
+        if not row:
+            raise IoFailure(f"row {r} is empty; SMS cannot hold an empty row")
+        prefix = str(r)
+        yield prefix + prefix.join([cols[col] + values[coeff] for col, coeff in row])
     yield "0 0 0\n"
 
 

@@ -38,6 +38,7 @@ def test_verify_certified_exit_zero(capsys):
     assert payload["result"]["nullity"] == 0
     assert payload["counts"]["n_vars"] == 295
     assert payload["params"]["jacobian_monomial"] is True
+    assert payload["params"]["parallel"] is False
     assert payload["params"]["charts"] == [0, 2]
 
 
@@ -85,14 +86,14 @@ def test_verify_twist_three_weight_one_has_constant_stratum(capsys):
         ("enumerate", "--c", "9/5"),
         ("verify", "--m", "3", "--t", "3", "--report", "/nonexistent/dir/r.json"),
         ("verify", "--m", "3", "--t", "3", "--conics", "@not-utf8"),
-        ("verify", "--m", "3", "--t", "3", "--config", "@not-utf8"),
-        ("export-matrix", "--m", "3", "--t", "3", "--config", "@not-utf8",
+        ("export-matrix", "--m", "3", "--t", "3", "--conics", "@not-utf8",
          "--output", "out.sms"),
         ("verify", "--m", "3", "--t", "3", "--report", ""),
         ("verify", "--m", "3", "--t", "3", "--export-matrix", ""),
-        ("verify", "--m", "3", "--t", "3", "--config", "@empty-report"),
-        ("verify", "--m", "3", "--t", "3", "--config", "@empty-export-matrix"),
-        ("verify", "--m", "1", "--t", "3", "--config", ""),
+        ("export-matrix", "--m", "3", "--t", "3", "--output", ""),
+        ("export-matrix", "--t", "3", "--output", "out.sms"),
+        ("export-matrix", "--m", "3", "--t", "3", "--prime", "1", "--output", "out.sms"),
+        ("verify", "--m", "3", "--t", "3", "--charts", ""),
         ("enumerate", "--c", "5", "--m-max", "10001"),
         ("enumerate", "--c", "1e4000", "--m-max", "5"),
         ("thresholds", "--m", "9" * 2500, "--t", "1"),
@@ -101,12 +102,9 @@ def test_verify_twist_three_weight_one_has_constant_stratum(capsys):
     ],
 )
 def test_config_errors_exit_two(capsys, tmp_path, monkeypatch, argv):
-    # ``@name`` stands for a file made here: bytes that are not UTF-8, or a
-    # config setting one output path to the empty string.
+    # ``@not-utf8`` is a file made here, of bytes that are not UTF-8.
     monkeypatch.chdir(tmp_path)
     (tmp_path / "@not-utf8").write_bytes(b"\xff\xfe[[1,2]]")
-    (tmp_path / "@empty-report").write_text(json.dumps({"report": ""}))
-    (tmp_path / "@empty-export-matrix").write_text(json.dumps({"export_matrix": ""}))
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error:")
@@ -325,82 +323,6 @@ def test_conic_file_rejects_malformed(tmp_path, content):
         cli.load_conics(str(path))
 
 
-def test_config_file_merging(capsys, tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"m": 3, "t": 3, "conics": "fermat", "prime": 5}))
-    code, payload = run_json(capsys, "verify", "--config", str(config))
-    assert code == 0
-    assert payload["params"]["m"] == 3
-    # Explicit flags take precedence over the config file.
-    code, payload = run_json(
-        capsys, "verify", "--config", str(config), "--m", "4"
-    )
-    assert code == 0
-    assert payload["params"]["m"] == 4
-    assert payload["params"]["t"] == 3
-    # A path value that is not a string is bad input, not a crash.
-    config.write_text(json.dumps({"m": 3, "t": 3, "report": ["a.json"]}))
-    code, out, err = run_cli(capsys, "verify", "--config", str(config))
-    assert code == 2
-    assert err == "error: report must be a file path\n"
-    # The certifier has one serial path; a parallel key is ignored.
-    config.write_text(json.dumps({"m": 3, "t": 3, "parallel": True}))
-    code, payload = run_json(capsys, "verify", "--config", str(config))
-    assert code == 0
-    assert payload["params"]["parallel"] is False
-
-
-@pytest.mark.parametrize(
-    "values,reason",
-    [
-        ({"m": 3.9}, "m must be an integer, got 3.9"),
-        ({"t": True}, "t must be an integer, got True"),
-        ({"prime": 5.5}, "prime must be an integer, got 5.5"),
-        ({"prime": None}, "prime must be an integer, got None"),
-        ({"m": "3"}, "m must be an integer, got '3'"),
-        ({"conics": 5}, "conics must be a preset name or file path, got 5"),
-    ],
-)
-def test_config_file_values_keep_their_types(capsys, tmp_path, values, reason):
-    # A float, bool or string is rejected, never truncated or coerced.
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"m": 3, "t": 3, **values}))
-    code, out, err = run_cli(capsys, "verify", "--config", str(config))
-    assert (code, out) == (2, "")
-    assert err == f"error: {reason}\n"
-
-
-def test_verify_config_ignores_calculator_keys(capsys, tmp_path):
-    # degrees, c and m_max are flags of thresholds/enumerate, not config keys.
-    config = tmp_path / "run.json"
-    config.write_text(
-        json.dumps({"m": 3, "t": 3, "degrees": "3,2", "c": "x", "m_max": "many"})
-    )
-    code, payload = run_json(capsys, "verify", "--config", str(config))
-    assert code == 0
-    assert payload["result"]["verdict"] == "vanishing-certified"
-
-
-@pytest.mark.parametrize(
-    "values",
-    [{"report": "r.json"}, {"export_matrix": "z.sms"}, {"report": ""}],
-    ids=["report", "export-matrix", "empty-report"],
-)
-def test_export_matrix_config_ignores_verify_output_keys(
-    capsys, tmp_path, monkeypatch, values
-):
-    # report and export_matrix are verify's outputs; export-matrix neither
-    # writes nor checks them, as verify ignores the calculators' keys.
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.json").write_text(json.dumps({"m": 3, "t": 3, **values}))
-    code, payload = run_json(
-        capsys, "export-matrix", "--config", "run.json", "--output", "y.sms"
-    )
-    assert code == 0
-    assert payload["output"] == "y.sms"
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.json", "y.sms"]
-
-
 def test_parse_charts_variants():
     assert cli.parse_charts("z0,z2") == (0, 2)
     assert cli.parse_charts("0,2") == (0, 2)
@@ -488,6 +410,21 @@ def test_parallel_flag_is_gone(capsys):
     assert "unrecognized arguments: --parallel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "export-matrix"])
+def test_config_flag_is_gone(capsys, tmp_path, monkeypatch, command):
+    # Flags are the only input of verify and export-matrix.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({"m": 3, "t": 3}))
+    argv = [command, "--m", "3", "--t", "3", "--config", "run.json"]
+    if command == "export-matrix":
+        argv += ["--output", "y.sms"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "jetcert.cli", "enumerate", "--c", "5"],
@@ -537,17 +474,6 @@ def _fuzz_calculator_argv(rng):
 
 def _fuzz_verify_argv(rng, tmp_path, case):
     m, t = rng.randint(0, 3), rng.randint(-1, 10)
-    if rng.random() < 0.5:
-        config = {"m": m, "t": t, "conics": "fermat", "prime": 5, "charts": "z0,z2"}
-        keys = sorted(config) + ["report", "export_matrix"]
-        for key in rng.sample(keys, rng.choice((0, 1, 1, 2))):
-            config[key] = rng.choice(_FUZZ_JUNK)
-        text = json.dumps(config)
-        if rng.random() < 0.2:
-            text = text[: rng.randrange(len(text))]
-        path = tmp_path / f"config{case}.json"
-        path.write_text(text)
-        return ["verify", "--config", str(path)]
     rows = [list(row) for row in _FERMAT_ROWS]
     edit = rng.randrange(5)
     if edit == 1:
@@ -565,7 +491,7 @@ def _fuzz_verify_argv(rng, tmp_path, case):
 
 
 def test_fuzzed_input_keeps_exit_code_contract(capsys, tmp_path, monkeypatch):
-    """Seeded random argv, config and conic files: every outcome is one of
+    """Seeded random argv and conic files: every outcome is one of
     the documented verdict or bad-input codes, never a crash."""
     monkeypatch.chdir(tmp_path)  # junk report paths such as "x" land here
     rng = random.Random(20261018)

@@ -152,6 +152,17 @@ def test_in_row_span_negative():
     assert in_row_span(system, basis, {})  # zero vector is always in the span
 
 
+@pytest.mark.parametrize(
+    "vectors,candidate",
+    [(({5: 1},), {5: 3}), (({-1: 1},), {-1: 2}), (({0: 1},), {2: 1}),
+     (({0: 1}, {2: 0}), {0: 1})],
+)
+def test_in_row_span_refuses_keys_outside_the_columns(vectors, candidate):
+    system = LinearSystem(prime=5, n_vars=2, rows=())
+    with pytest.raises(ValueError, match="outside the unknown range"):
+        in_row_span(system, vectors, candidate)
+
+
 def test_dense_oracle_guard():
     system = LinearSystem(prime=5, n_vars=DENSE_LIMIT + 1, rows=())
     with pytest.raises(ValueError):

@@ -35,6 +35,17 @@ def test_sms_empty_system_exact_bytes(tmp_path):
     assert sms_text(system, tmp_path) == "0 0 M\n0 0 0\n"
 
 
+def test_sms_export_refuses_an_empty_row(tmp_path):
+    # SMS has no triple for an empty row, and read_sms refuses a header
+    # that counts rows the triples do not fill: no file may be written.
+    system = LinearSystem(prime=5, n_vars=2, rows=(((0, 1),), (), ((1, 1),)))
+    path = tmp_path / "system.sms"
+    with pytest.raises(IoFailure, match="row 2 is empty"):
+        write_sms(system, str(path))
+    with pytest.raises(IoFailure, match="row 2 is empty"):
+        sms_checksum(system)
+
+
 def test_sms_round_trip_assembled_system(tmp_path):
     system = assemble(FERMAT, 3, 3, 5)
     text = sms_text(system, tmp_path)
